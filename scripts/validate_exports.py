@@ -36,12 +36,16 @@ files:
    through the real SSE endpoint, the captured stream carries every
    phase boundary and ends with the ``end`` sentinel, it re-reads from
    a ``repro/live@1`` JSONL capture byte-for-byte, and the ``/metrics``
-   exposition both lints clean and reflects the finished job;
+   exposition both lints clean and reflects the finished job: its
+   per-primitive calls and per-phase runs and latency equal the job's
+   archived ``repro/metrics@1`` document;
 8. a durable-archive round-trip: a demo job runs under a manager
    writing through to a ``repro/archive@1`` directory, a fresh manager
    restores from it, the restored ``repro/jobs@1`` ledger is
-   byte-identical to the archived one, and a repeat of the same spec
-   is answered from the restored results cache (summary included).
+   byte-identical to the archived one, the exposition of both managers
+   agrees with the archived metrics document as in step 7, and a
+   repeat of the same spec is answered from the restored results cache
+   (summary included).
 
 Exit status is non-zero on the first violation, so CI fails loudly.
 The artifacts are left in ``--outdir`` for upload.
@@ -61,6 +65,40 @@ import sys
 
 def fail(message: str) -> None:
     raise SystemExit(f"validate_exports: FAILED — {message}")
+
+
+def check_exposition(exposition: str, metrics: dict, where: str) -> None:
+    """/metrics and a one-run metrics document must count alike."""
+    import re
+
+    def family(name: str, label: str) -> dict:
+        sample = re.compile(rf'^{name}{{{label}="([^"]*)"}} (\S+)$')
+        found = {}
+        for line in exposition.splitlines():
+            match = sample.match(line)
+            if match:
+                found[match.group(1)] = float(match.group(2))
+        return found
+
+    calls = family("repro_primitive_calls_total", "primitive")
+    runs = family("repro_phase_runs_total", "phase")
+    latency = family("repro_phase_latency_ms_total", "phase")
+    expected = {
+        "primitive calls": (
+            calls, {p: s["calls"] for p, s in metrics["primitives"].items()}
+        ),
+        "phase runs": (runs, {p: 1 for p in metrics["phases"]}),
+        "phase latency": (
+            {p: round(ms, 6) for p, ms in latency.items()},
+            {p: s["duration_ms"] for p, s in metrics["phases"].items()},
+        ),
+    }
+    for what, (got, want) in expected.items():
+        if got != want:
+            fail(
+                f"{where}: /metrics {what} {got} disagree with the job's "
+                f"archived repro/metrics@1 {want}"
+            )
 
 
 def main(argv=None) -> int:
@@ -311,13 +349,26 @@ def main(argv=None) -> int:
     import threading
     import urllib.request
 
+    import time as time_mod
+
+    from repro.obs.archive import RunArchive
     from repro.obs.live import read_live_jsonl, write_live_jsonl
     from repro.service import JobManager, lint_exposition, sse_events
+    from repro.service.metrics import render_metrics
     from repro.service.server import build_server
+
+    def wait_archived(job):
+        deadline = time_mod.monotonic() + 30
+        while job.archived is None and time_mod.monotonic() < deadline:
+            time_mod.sleep(0.05)
+        if not job.archived:
+            fail("the finished demo job never reached the archive")
+        return job.archived
 
     live_path = os.path.join(args.outdir, "demo.live.jsonl")
     exposition_path = os.path.join(args.outdir, "demo.metrics.prom")
-    with JobManager(runners=1) as manager:
+    serve_archive = RunArchive(os.path.join(args.outdir, "demo.serve-archive"))
+    with JobManager(runners=1, archive=serve_archive) as manager:
         server = build_server(manager, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -361,6 +412,10 @@ def main(argv=None) -> int:
                 fail(f"/metrics fails its own lint: {problems[:3]}")
             if 'repro_jobs_total{state="done"} 1' not in exposition:
                 fail("/metrics does not report the finished demo job")
+            key = wait_archived(manager.job(job["id"]))
+            check_exposition(
+                exposition, serve_archive.read_metrics(key), "step 7"
+            )
             with open(exposition_path, "w", encoding="utf-8") as handle:
                 handle.write(exposition)
         finally:
@@ -369,9 +424,6 @@ def main(argv=None) -> int:
             thread.join(timeout=10)
 
     # 8. durable archive: write -> restore -> byte-compare -------------
-    import time as time_mod
-
-    from repro.obs.archive import RunArchive
     from repro.service.export import jobs_to_records
     from repro.service.specs import submit_spec
 
@@ -379,17 +431,17 @@ def main(argv=None) -> int:
     with JobManager(runners=1, archive=RunArchive(archive_dir)) as manager:
         job = submit_spec(manager, {"demo": True, "label": "demo-archive"})
         manager.result(job.id, timeout=120)
-        deadline = time_mod.monotonic() + 30
-        while job.archived is None and time_mod.monotonic() < deadline:
-            time_mod.sleep(0.05)
-        if not job.archived:
-            fail("the finished demo job never reached the archive")
+        archived_metrics = RunArchive(archive_dir).read_metrics(wait_archived(job))
+        check_exposition(render_metrics(manager), archived_metrics, "step 8")
         ledger_before = json.dumps(
             jobs_to_records(manager), sort_keys=True, default=str
         )
     with JobManager(runners=1, archive=RunArchive(archive_dir)) as restored:
         if restored.restored()["jobs"] != 1:
             fail("the archive did not restore the demo job's ledger entry")
+        check_exposition(
+            render_metrics(restored), archived_metrics, "step 8, restored"
+        )
         ledger_after = json.dumps(
             jobs_to_records(restored), sort_keys=True, default=str
         )

@@ -38,11 +38,7 @@ backends that only implement the required surface keep working:
 - ``execute_batch(probes)`` (see :class:`BatchCapableBackend`) answers
   a sequence of :class:`~repro.engine.probes.Probe` requests in one
   pass — :class:`~repro.backends.sqlite.SQLiteBackend` compiles a chunk
-  into a single grouped statement of scalar subqueries;
-- ``parallel_safe`` (class attribute, default falsy) declares that the
-  four primitives may be called from concurrent worker threads —
-  :class:`~repro.backends.memory.MemoryBackend` sets it because its
-  primitives are pure in-process reads.
+  into a single grouped statement of scalar subqueries.
 
 The contract is executable: ``tests/backends/test_contract.py`` runs the
 same assertions over every registered backend, including the batch hook

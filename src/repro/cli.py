@@ -52,7 +52,7 @@ phases through the :mod:`repro.engine` planner (dedupe + grouped
 execution; identical results and traces — see ``docs/ENGINE.md``),
 ``process`` additionally shards probe chunks across worker processes
 (each with a private backend instance; same results, crash-tolerant),
-with ``--engine-workers N`` controlling threads or processes.
+with ``--engine-workers N`` sizing the process pool.
 
 The database input is a ``.sql`` script (CREATE TABLE + INSERT,
 executed by the built-in engine), a ``.json`` database document
@@ -832,8 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--engine-workers", type=int, default=0, metavar="N",
-            help="batched: worker threads on parallel-safe backends; "
-                 "process: worker processes (0 = auto)",
+            help="process: worker processes (0 = auto)",
         )
 
     def add_observability_options(command: argparse.ArgumentParser) -> None:

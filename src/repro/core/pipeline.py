@@ -27,7 +27,7 @@ into JSONL traces and metrics summaries.
 :class:`~repro.engine.executor.BatchExecutor`: each phase submits its
 probes declaratively, the planner dedupes and groups them, and the
 backend answers them in as few passes as it supports (grouped SQL
-pushdown, worker threads, or the serial fallback).  The default
+pushdown, or the serial fallback).  The default
 ``serial`` mode keeps the original call-at-a-time behavior; both modes
 produce identical results and identical per-probe trace events — only
 ``result.engine_stats`` (and the wall clock) tell them apart.
@@ -194,7 +194,7 @@ class DBREPipeline:
             engine: Optional[BatchExecutor] = None
             pool = None
             if self.engine_mode == "batched":
-                engine = BatchExecutor(database, max_workers=self.engine_workers)
+                engine = BatchExecutor(database)
                 result.engine_stats = engine.stats
             elif self.engine_mode == "process":
                 # lazy import: the service layer depends on the engine,

@@ -10,10 +10,9 @@ this package lets a phase submit them *declaratively* instead:
    sharing a relation (:mod:`repro.engine.planner`);
 3. the :class:`BatchExecutor` answers the plan with the cheapest
    strategy the backend offers — grouped SQL pushdown via the optional
-   ``execute_batch`` hook, worker threads for parallel-safe in-process
-   backends, or a serial fallback — while recording one trace event per
-   logical probe so query accounting matches a serial run exactly
-   (:mod:`repro.engine.executor`).
+   ``execute_batch`` hook, or a serial fallback — while recording one
+   trace event per logical probe so query accounting matches a serial
+   run exactly (:mod:`repro.engine.executor`).
 
 ``DBREPipeline(..., engine="batched")`` (CLI: ``--engine batched``)
 routes IND- and RHS-Discovery through one shared executor; the default

@@ -10,10 +10,6 @@ cheapest strategy the backend supports, and hands back one answer per
   hook (:class:`~repro.backends.sqlite.SQLiteBackend`) answers a whole
   chunk of probes in one grouped statement; the executor walks the plan
   group by group so probes sharing a relation land in the same pass;
-- **parallel** — a backend that declares itself ``parallel_safe``
-  (:class:`~repro.backends.memory.MemoryBackend`: pure in-process reads)
-  has its probe groups evaluated on ``concurrent.futures`` worker
-  threads;
 - **serial** — any other backend is driven one probe at a time, so
   third-party backends that only implement the four primitives keep
   working unchanged;
@@ -39,12 +35,10 @@ therefore the differential tests) deterministic across worker counts.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
-from repro.engine.planner import ProbeGroup, QueryPlan, plan_probes
+from repro.engine.planner import QueryPlan, plan_probes
 from repro.engine.probes import Probe
 from repro.exceptions import WorkerPoolError
 from repro.obs.instrument import telemetry_delta
@@ -59,9 +53,6 @@ __all__ = ["EngineStats", "BatchExecutor", "dispatch_probe"]
 #: probes per grouped ``execute_batch`` statement; well under SQLite's
 #: default 2000-result-column limit while still amortizing round trips
 DEFAULT_CHUNK_SIZE = 32
-
-#: below this many unique probes a thread pool costs more than it saves
-DEFAULT_MIN_PARALLEL = 8
 
 
 @dataclass
@@ -80,7 +71,6 @@ class EngineStats:
     groups: int = 0
     backend_calls: int = 0     # physical backend invocations of any kind
     batched_calls: int = 0     # grouped execute_batch statements issued
-    parallel_groups: int = 0   # groups evaluated on worker threads
     process_chunks: int = 0    # chunks answered by worker processes
     pool_fallbacks: int = 0    # batches the pool failed and serial re-ran
 
@@ -99,7 +89,6 @@ class EngineStats:
             "groups": self.groups,
             "backend_calls": self.backend_calls,
             "batched_calls": self.batched_calls,
-            "parallel_groups": self.parallel_groups,
             "process_chunks": self.process_chunks,
             "pool_fallbacks": self.pool_fallbacks,
         }
@@ -137,16 +126,11 @@ class BatchExecutor:
     def __init__(
         self,
         database: "Database",
-        max_workers: int = 0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        min_parallel: int = DEFAULT_MIN_PARALLEL,
         pool: "ProcessProbeExecutor" = None,
     ) -> None:
         self.database = database
-        #: 0 = auto-size from the host; 1 = never spawn workers
-        self.max_workers = max_workers or min(4, os.cpu_count() or 1)
         self.chunk_size = max(1, chunk_size)
-        self.min_parallel = min_parallel
         #: a process pool promotes the executor to the process strategy;
         #: the caller owns the pool's lifetime (the pipeline closes it)
         self.pool = pool
@@ -215,13 +199,6 @@ class BatchExecutor:
                 )
         if callable(getattr(backend, "execute_batch", None)):
             self._execute_pushdown(backend, plan, evaluations)
-        elif (
-            getattr(backend, "parallel_safe", False)
-            and self.max_workers > 1
-            and len(plan.groups) > 1
-            and len(plan.unique) >= self.min_parallel
-        ):
-            self._execute_parallel(backend, plan, evaluations)
         else:
             self._execute_serial(backend, plan, evaluations)
         return evaluations
@@ -287,69 +264,29 @@ class BatchExecutor:
                 probes=len(chunk),
             )
 
-    def _execute_parallel(
-        self,
-        backend: "ExtensionBackend",
-        plan: QueryPlan,
-        evaluations: Dict[tuple, _Evaluation],
-    ) -> None:
-        """Probe groups on worker threads; results keyed, order immaterial."""
-        workers = min(self.max_workers, len(plan.groups))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(self._run_group, backend, group)
-                for group in plan.groups
-            ]
-            for future in futures:
-                for probe, value, start, duration, counters in future.result():
-                    evaluation = evaluations[probe.key]
-                    evaluation.value = value
-                    evaluation.start = start
-                    evaluation.duration = duration
-                    evaluation.counters = counters
-        self.stats.backend_calls += len(plan.unique)
-        self.stats.parallel_groups += len(plan.groups)
-
     def _execute_serial(
         self,
         backend: "ExtensionBackend",
         plan: QueryPlan,
         evaluations: Dict[tuple, _Evaluation],
     ) -> None:
-        """The universal fallback: one primitive call per unique probe."""
+        """The universal fallback: one timed primitive call per unique probe."""
+        tracer = self.database.tracer
+        hook = getattr(backend, "telemetry", None)
         for group in plan.groups:
-            for probe, value, start, duration, counters in self._run_group(
-                backend, group
-            ):
+            for probe in group.probes:
                 evaluation = evaluations[probe.key]
-                evaluation.value = value
-                evaluation.start = start
-                evaluation.duration = duration
-                evaluation.counters = counters
+                before = hook() if hook is not None else None
+                evaluation.start = tracer.now()
+                evaluation.value = dispatch_probe(backend, probe)
+                evaluation.duration = tracer.now() - evaluation.start
+                after = hook() if hook is not None else None
+                evaluation.counters = telemetry_delta(before, after) or {}
         self.stats.backend_calls += len(plan.unique)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _run_group(
-        self, backend: "ExtensionBackend", group: ProbeGroup
-    ) -> List[Tuple[Probe, Any, float, float, Dict[str, int]]]:
-        """Evaluate one group serially, timing each probe."""
-        tracer = self.database.tracer
-        hook = getattr(backend, "telemetry", None)
-        out = []
-        for probe in group.probes:
-            before = hook() if hook is not None else None
-            start = tracer.now()
-            value = dispatch_probe(backend, probe)
-            duration = tracer.now() - start
-            after = hook() if hook is not None else None
-            out.append(
-                (probe, value, start, duration,
-                 telemetry_delta(before, after) or {})
-            )
-        return out
-
     def _profiled(self, backend: "ExtensionBackend", probe: Probe) -> _Evaluation:
         """Seed an evaluation with the backend's observability probe."""
         hook = getattr(backend, "probe", None)
@@ -378,10 +315,6 @@ def dispatch_probe(backend: "ExtensionBackend", probe: Probe) -> Any:
         probe.relations[0], probe.attributes[0],
         probe.relations[1], probe.attributes[1],
     )
-
-
-#: historical private name, still used by the property-based suite
-_dispatch = dispatch_probe
 
 
 def _chunks(items: List[Probe], size: int):

@@ -10,9 +10,10 @@ tracer's event stream*: a :class:`~repro.relational.database.Database`
 carries a ``TracedQueryCounter`` whose figures are computed from the
 recorded :class:`~repro.obs.tracer.PrimitiveEvent` records, and
 :func:`cost_report_from_trace` assembles the same :class:`CostReport`
-straight from a tracer.  There is no second bookkeeping to drift: a
-``CostReport`` total always equals the number of events in the stream
-it was derived from.
+from the tracer's :class:`~repro.obs.stats.RunStats` fold of that
+stream.  There is no second bookkeeping to drift: a ``CostReport``
+total always equals the number of events in the stream it was derived
+from.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ def batching_summary(stats: EngineStats) -> Dict[str, float]:
         "groups": stats.groups,
         "backend_calls": calls,
         "batched_calls": stats.batched_calls,
-        "parallel_groups": stats.parallel_groups,
         "call_reduction": (stats.logical_probes / calls) if calls else 0.0,
     }
 
@@ -103,22 +103,14 @@ def batching_summary(stats: EngineStats) -> Dict[str, float]:
 def cost_report_from_trace(
     tracer: Tracer, expert: Optional[RecordingExpert] = None
 ) -> CostReport:
-    """A :class:`CostReport` summed directly from the event stream."""
-    counts = {
-        "count_distinct": 0,
-        "join_count": 0,
-        "fd_holds": 0,
-        "inclusion_holds": 0,
-    }
-    for event in tracer.events:
-        if event.primitive in counts:
-            counts[event.primitive] += 1
+    """A :class:`CostReport` read from the tracer's fold of its events."""
+    calls = tracer.stats.primitive_calls
     decisions, by_kind = _expert_costs(expert)
     return CostReport(
-        count_distinct_queries=counts["count_distinct"],
-        join_count_queries=counts["join_count"],
-        fd_checks=counts["fd_holds"],
-        inclusion_checks=counts["inclusion_holds"],
+        count_distinct_queries=calls.get("count_distinct", 0),
+        join_count_queries=calls.get("join_count", 0),
+        fd_checks=calls.get("fd_holds", 0),
+        inclusion_checks=calls.get("inclusion_holds", 0),
         expert_decisions=decisions,
         expert_by_kind=by_kind,
     )

@@ -6,6 +6,8 @@ end:
 - :mod:`repro.obs.tracer` — :class:`Tracer`, nested
   :class:`SpanRecord` intervals around the five pipeline phases, and
   one :class:`PrimitiveEvent` per extension-primitive call;
+- :mod:`repro.obs.stats` — :class:`RunStats`, the one fold every figure
+  below is read from, and :func:`fold_records` for re-read files;
 - :mod:`repro.obs.instrument` — :class:`InstrumentedBackend`, the thin
   wrapper that times backend primitives and records cache hit/miss and
   rows touched without the backends knowing about the tracer;
@@ -43,6 +45,7 @@ from repro.obs.tracer import (
     SpanRecord,
     Tracer,
 )
+from repro.obs.stats import RunStats, fold_records
 from repro.obs.instrument import InstrumentedBackend
 from repro.obs.live import (
     LIVE_EVENT_TYPES,
@@ -106,6 +109,8 @@ __all__ = [
     "PrimitiveEvent",
     "SpanRecord",
     "Tracer",
+    "RunStats",
+    "fold_records",
     "InstrumentedBackend",
     "LIVE_EVENT_TYPES",
     "LIVE_FORMAT",

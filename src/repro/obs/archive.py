@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.live import LiveStats
+from repro.obs.stats import RunStats
 from repro.util.jsonl import load_jsonl, save_jsonl
 
 __all__ = [
@@ -95,7 +95,7 @@ class ArchivedRun:
     record: Dict[str, Any]
     #: (database fingerprint, workload fingerprint, config token)
     cache_key: Tuple[str, str, str]
-    stats: LiveStats = field(repr=False, default_factory=LiveStats)
+    stats: RunStats = field(repr=False, default_factory=RunStats)
     eer: Optional[str] = field(repr=False, default=None)
     #: artifact name → absolute path, for artifacts actually on disk
     artifacts: Dict[str, str] = field(default_factory=dict, repr=False)
@@ -135,7 +135,7 @@ class RunArchive:
         metrics: Optional[Dict[str, Any]] = None,
         live: Optional[List[Dict[str, Any]]] = None,
         provenance: Optional[List[Dict[str, Any]]] = None,
-        stats: Optional[LiveStats] = None,
+        stats: Optional[RunStats] = None,
         eer: Optional[str] = None,
     ) -> str:
         """Archive one finished run; returns its content key.
@@ -179,7 +179,7 @@ class RunArchive:
                 timespec="seconds"
             ),
             "record": record,
-            "stats": (stats or LiveStats()).as_dict(),
+            "stats": (stats or RunStats()).as_dict(),
             "eer": eer,
             "artifacts": artifacts,
         }
@@ -292,7 +292,7 @@ class RunArchive:
                 manifest.get("workload_fingerprint", ""),
                 manifest.get("config_token", ""),
             ),
-            stats=LiveStats.from_dict(manifest.get("stats") or {}),
+            stats=RunStats.from_dict(manifest.get("stats") or {}),
             eer=manifest.get("eer"),
             artifacts=artifacts,
         )

@@ -11,18 +11,21 @@ Two artifacts can be written from one :class:`~repro.obs.tracer.Tracer`:
   per-phase durations and query counts, per-primitive call/latency/
   cache/row rollups, per-backend totals, and run totals.
 
-The metrics document is *derived from the trace records*
-(:func:`metrics_from_records`), so a summary computed live from a
-tracer and one computed from a written-and-reread JSONL file agree by
-construction.  ``repro trace summarize FILE`` renders the same records
-as a span tree plus primitive table.
+The metrics document renders a :class:`~repro.obs.stats.RunStats` —
+the tracer's own fold (:func:`metrics_summary`) or a new fold of a
+file's records (:func:`metrics_from_records`) — so a summary computed
+live and one from a re-read JSONL file agree by construction.  ``repro
+trace summarize FILE`` renders the records as a span tree plus
+primitive table.  :func:`read_trace_jsonl` checks the header's counts
+against the body, so a truncated trace fails loudly.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.obs.stats import RunStats, fold_records, rounded_ms, to_ms as _ms
 from repro.util.jsonl import load_jsonl, save_jsonl
 from repro.util.text import format_table
 
@@ -35,6 +38,9 @@ __all__ = [
     "trace_records",
     "write_trace_jsonl",
     "read_trace_jsonl",
+    "check_trace_records",
+    "span_tree",
+    "metrics_document",
     "metrics_from_records",
     "metrics_summary",
     "write_metrics_json",
@@ -43,11 +49,6 @@ __all__ = [
 
 TRACE_FORMAT = "repro/trace@1"
 METRICS_FORMAT = "repro/metrics@1"
-
-
-def _ms(seconds: float) -> float:
-    """Seconds → milliseconds, rounded to survive a JSON round-trip."""
-    return round(seconds * 1000.0, 6)
 
 
 def trace_records(tracer: "Tracer") -> List[Dict[str, Any]]:
@@ -107,99 +108,86 @@ def read_trace_jsonl(path: str) -> List[Dict[str, Any]]:
     """Read a JSONL trace back into its records (header included).
 
     Raises :class:`ValueError` for a malformed line (with its line
-    number) or when the header is not a ``repro/trace@1`` header.
+    number), when the header is not a ``repro/trace@1`` header, or when
+    the body does not carry the spans and events the header counts.
     """
     records = load_jsonl(path)
     if not records or records[0].get("format") != TRACE_FORMAT:
         raise ValueError(f"not a {TRACE_FORMAT} trace: {path!r}")
+    check_trace_records(records, path)
     return records
+
+
+def check_trace_records(records: List[Dict[str, Any]], path: str) -> None:
+    """Raise :class:`ValueError` unless the body matches its header."""
+    header, body = records[0], records[1:]
+    spans = sum(1 for r in body if r.get("type") == "span")
+    events = sum(1 for r in body if r.get("type") == "event")
+    if (header.get("spans"), header.get("events")) != (spans, events):
+        raise ValueError(
+            f"{path}: header claims {header.get('spans')} span(s) and "
+            f"{header.get('events')} event(s), file carries {spans} and "
+            f"{events} (truncated?)"
+        )
+
+
+def span_tree(records: List[Dict[str, Any]]) -> Tuple[Dict, Dict]:
+    """(parent id -> child spans in start order, span id -> events)."""
+    children: Dict[Optional[int], List[Dict[str, Any]]] = {}
+    events: Dict[Optional[int], List[Dict[str, Any]]] = {}
+    for record in records:
+        if record.get("type") == "span":
+            children.setdefault(record["parent"], []).append(record)
+        elif record.get("type") == "event":
+            events.setdefault(record["span"], []).append(record)
+    for siblings in children.values():
+        siblings.sort(key=lambda s: (s["start_ms"], s["id"]))
+    return children, events
 
 
 # ----------------------------------------------------------------------
 # metrics
 # ----------------------------------------------------------------------
-def _descendants(spans: List[Dict[str, Any]]) -> Dict[int, set]:
-    """span id → the ids of the span and every span nested under it."""
-    children: Dict[Optional[int], List[int]] = {}
-    for span in spans:
-        children.setdefault(span["parent"], []).append(span["id"])
-    out: Dict[int, set] = {}
-
-    def collect(span_id: int) -> set:
-        if span_id not in out:
-            ids = {span_id}
-            for child in children.get(span_id, []):
-                ids |= collect(child)
-            out[span_id] = ids
-        return out[span_id]
-
-    for span in spans:
-        collect(span["id"])
-    return out
-
-
-def metrics_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The flat metrics document for one trace's records."""
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
-    subtree = _descendants(spans)
-
-    phases: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        if span["kind"] != "phase":
-            continue
-        queries = sum(1 for e in events if e["span"] in subtree[span["id"]])
-        phases[span["name"]] = {
-            "duration_ms": span["duration_ms"],
-            "queries": queries,
-        }
-
-    primitives: Dict[str, Dict[str, Any]] = {}
+def metrics_document(stats: RunStats) -> Dict[str, Any]:
+    """The flat metrics document of one fold."""
     backends: Dict[str, Dict[str, Any]] = {}
-    for event in events:
-        p = primitives.setdefault(
-            event["primitive"],
-            {
-                "calls": 0,
-                "duration_ms": 0.0,
-                "cache_hits": 0,
-                "cache_misses": 0,
-                "rows_touched": 0,
-            },
-        )
-        p["calls"] += 1
-        p["duration_ms"] += event["duration_ms"]
-        p["cache_hits" if event["cache_hit"] else "cache_misses"] += 1
-        p["rows_touched"] += event["rows_touched"]
-        b = backends.setdefault(event["backend"], {"calls": 0, "duration_ms": 0.0})
-        b["calls"] += 1
-        b["duration_ms"] += event["duration_ms"]
-        for key, value in event.get("counters", {}).items():
-            counters = b.setdefault("counters", {})
-            counters[key] = counters.get(key, 0) + value
-    for rollup in (*primitives.values(), *backends.values()):
-        rollup["duration_ms"] = _ms(rollup["duration_ms"] / 1000.0)
-
-    root_ms = max((s["duration_ms"] for s in spans if s["parent"] is None), default=0.0)
+    for name, calls in stats.backend_calls.items():
+        backends[name] = {
+            "calls": calls,
+            "duration_ms": rounded_ms(stats.backend_ms[name]),
+        }
+        if stats.backend_counters.get(name):
+            backends[name]["counters"] = dict(stats.backend_counters[name])
     return {
         "format": METRICS_FORMAT,
-        "phases": phases,
-        "primitives": primitives,
+        "phases": {
+            name: {
+                "duration_ms": rounded_ms(stats.phase_ms[name]),
+                "queries": stats.phase_queries.get(name, 0),
+            }
+            for name in stats.phase_runs
+        },
+        "primitives": stats.primitive_rollup(),
         "backends": backends,
         "totals": {
-            "queries": len(events),
-            "cache_hits": sum(1 for e in events if e["cache_hit"]),
-            "rows_touched": sum(e["rows_touched"] for e in events),
-            "query_duration_ms": _ms(sum(e["duration_ms"] for e in events) / 1000.0),
-            "duration_ms": root_ms,
-            "spans": len(spans),
+            "queries": stats.queries,
+            "cache_hits": sum(stats.primitive_cache_hits.values()),
+            "rows_touched": sum(stats.primitive_rows.values()),
+            "query_duration_ms": rounded_ms(sum(stats.primitive_ms.values())),
+            "duration_ms": rounded_ms(stats.root_ms),
+            "spans": stats.spans,
         },
     }
 
 
+def metrics_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The flat metrics document for one trace's records."""
+    return metrics_document(fold_records(records))
+
+
 def metrics_summary(tracer: "Tracer") -> Dict[str, Any]:
-    """The metrics document computed live from *tracer*."""
-    return metrics_from_records(trace_records(tracer))
+    """The metrics document of *tracer*'s own fold (open spans included)."""
+    return metrics_document(tracer.snapshot())
 
 
 def write_metrics_json(tracer: "Tracer", path: str) -> None:
@@ -214,17 +202,12 @@ def write_metrics_json(tracer: "Tracer", path: str) -> None:
 # ----------------------------------------------------------------------
 def summarize_trace(records: List[Dict[str, Any]]) -> str:
     """Render a trace as a span tree plus per-primitive rollup table."""
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
-    subtree = _descendants(spans)
-    children: Dict[Optional[int], List[Dict[str, Any]]] = {}
-    for span in spans:
-        children.setdefault(span["parent"], []).append(span)
-
-    lines = [f"# Trace — {len(spans)} span(s), {len(events)} event(s)"]
+    stats = fold_records(records)
+    children, _ = span_tree(records)
+    lines = [f"# Trace — {stats.spans} span(s), {stats.queries} event(s)"]
 
     def walk(span: Dict[str, Any], depth: int) -> None:
-        queries = sum(1 for e in events if e["span"] in subtree[span["id"]])
+        queries = stats.queries_by_span[span["id"]]
         extra = "".join(
             f" {k}={v}" for k, v in sorted(span.get("attributes", {}).items())
         )
@@ -239,17 +222,17 @@ def summarize_trace(records: List[Dict[str, Any]]) -> str:
     for root in children.get(None, []):
         walk(root, 0)
 
-    metrics = metrics_from_records(records)
-    if metrics["primitives"]:
+    primitives = stats.primitive_rollup()
+    if primitives:
         rows = [
             [
                 name,
-                stats["calls"],
-                f"{stats['duration_ms']:.3f}",
-                stats["cache_hits"],
-                stats["rows_touched"],
+                row["calls"],
+                f"{row['duration_ms']:.3f}",
+                row["cache_hits"],
+                row["rows_touched"],
             ]
-            for name, stats in sorted(metrics["primitives"].items())
+            for name, row in sorted(primitives.items())
         ]
         lines.append("")
         lines.append("# Primitives")

@@ -37,6 +37,7 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.stats import RunStats
 from repro.util.text import format_table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -283,29 +284,21 @@ def archive_trends(
         groups.setdefault(run.cache_key[:2], []).append(run)
     rows: List[Dict[str, Any]] = []
     for (db_fp, wl_fp), runs in sorted(groups.items()):
-        phase_ms: Dict[str, float] = {}
-        calls = hits = incidents = 0
-        walls: List[float] = []
-        states: List[str] = []
+        total = RunStats()
         for run in runs:
-            stats = run.stats
-            for phase, ms in stats.phase_ms.items():
-                phase_ms[phase] = phase_ms.get(phase, 0.0) + ms
-            calls += sum(stats.primitive_calls.values())
-            hits += sum(stats.primitive_cache_hits.values())
-            incidents += sum(stats.pool_events.values())
-            walls.append(sum(stats.phase_ms.values()))
-            states.append(run.state)
+            total.merge(run.stats)
+        walls = [sum(run.stats.phase_ms.values()) for run in runs]
+        calls, hits = total.queries, sum(total.primitive_cache_hits.values())
         rows.append({
             "database_fingerprint": db_fp,
             "workload_fingerprint": wl_fp,
             "runs": len(runs),
-            "states": states,
+            "states": [run.state for run in runs],
             "labels": [run.record.get("label", "") for run in runs],
-            "phase_ms": {k: round(v, 3) for k, v in sorted(phase_ms.items())},
+            "phase_ms": {k: round(v, 3) for k, v in sorted(total.phase_ms.items())},
             "wall_ms": [round(w, 3) for w in walls],
             "cache_hit_rate": round(hits / calls, 4) if calls else 0.0,
-            "pool_incidents": incidents,
+            "pool_incidents": sum(total.pool_events.values()),
             "drift": detect_drift(walls, threshold),
         })
     return rows

@@ -12,10 +12,11 @@ one-event-stream design observable while the run is still going:
   first to go) so late consumers can replay from a sequence number (the
   SSE endpoint's ``Last-Event-ID``) without the bus growing without
   bound on a long-lived service.
-- :class:`LiveStats` — incremental aggregates (record counts, per-phase
-  latency, primitive/cache/storage/pool counters) the bus maintains on
-  every publish, so a metrics scrape reads the totals in O(1) instead
-  of rescanning the history — and the totals survive history trimming.
+- the record census — every publish counts its record type into the
+  tracer's :class:`~repro.obs.stats.RunStats` (the fold that also holds
+  the run's phase, primitive, storage and pool figures), so a metrics
+  scrape reads totals without rescanning the history, and the totals
+  survive history trimming.
 - :class:`LiveSubscription` — one consumer's **bounded** queue.  A slow
   consumer never stalls the pipeline: when the queue is full the bus
   drops the record and counts it (``subscription.dropped``), and the
@@ -28,7 +29,7 @@ one-event-stream design observable while the run is still going:
   records as they are published.
 
 The bus costs nothing when unused: a tracer without subscribers carries
-``_live = None`` and every hot-path hook is a single attribute test —
+``_live = None`` and every publishing hook is a single attribute test —
 the S13 benchmark and the ``s13-live-head`` regression gate enforce
 that the no-subscriber pipeline stays within noise of the pre-bus
 baseline.
@@ -53,7 +54,8 @@ since the bus attached):
 :func:`write_live_jsonl` / :func:`read_live_jsonl` round-trip a
 captured stream with the same JSONL discipline as every other export
 (header record first); ``scripts/validate_exports.py`` exercises the
-round-trip in CI.
+round-trip in CI.  :func:`summarize_live` renders a capture from the
+same fold: :func:`repro.obs.stats.fold_records` over its records.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 import threading
 
+from repro.obs.stats import RunStats, fold_records, to_ms as _ms
 from repro.util.jsonl import load_jsonl, save_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,12 +78,12 @@ __all__ = [
     "LIVE_EVENT_TYPES",
     "DEFAULT_QUEUE_SIZE",
     "DEFAULT_HISTORY_LIMIT",
-    "LiveStats",
     "LiveSubscription",
     "LiveBus",
     "live_records",
     "write_live_jsonl",
     "read_live_jsonl",
+    "check_live_records",
     "summarize_live",
 ]
 
@@ -101,120 +104,8 @@ LIVE_EVENT_TYPES = (
 DEFAULT_QUEUE_SIZE = 1024
 
 #: per-bus history bound; past it the oldest records are trimmed (the
-#: aggregates in :class:`LiveStats` keep counting what was trimmed)
+#: census in the bus's :class:`~repro.obs.stats.RunStats` keeps counting)
 DEFAULT_HISTORY_LIMIT = 65536
-
-
-def _ms(seconds: float) -> float:
-    """Seconds → milliseconds, rounded to survive a JSON round-trip."""
-    return round(seconds * 1000.0, 6)
-
-
-class LiveStats:
-    """Running aggregates over every record a bus ever published.
-
-    Updated incrementally on publish (a few dict bumps under the bus
-    lock), so consumers — the ``/metrics`` exposition above all — read
-    totals without rescanning the history, and the totals stay correct
-    after the bounded history trims old records or a finished job is
-    evicted from the ledger (:meth:`merge` folds its stats forward).
-    """
-
-    __slots__ = (
-        "events",
-        "phase_runs",
-        "phase_ms",
-        "primitive_calls",
-        "primitive_cache_hits",
-        "storage_counters",
-        "pool_events",
-    )
-
-    def __init__(self) -> None:
-        #: records published, by record type
-        self.events: Dict[str, int] = {}
-        #: closed ``phase`` spans, by phase name
-        self.phase_runs: Dict[str, int] = {}
-        #: total wall milliseconds per phase name
-        self.phase_ms: Dict[str, float] = {}
-        #: primitive calls, by primitive
-        self.primitive_calls: Dict[str, int] = {}
-        #: primitive calls answered from a cache, by primitive
-        self.primitive_cache_hits: Dict[str, int] = {}
-        #: storage telemetry deltas (buffer pool, page I/O), by counter
-        self.storage_counters: Dict[str, int] = {}
-        #: worker-pool incidents, by event
-        self.pool_events: Dict[str, int] = {}
-
-    def observe(self, record: Dict[str, Any]) -> None:
-        """Fold one published record into the totals."""
-        kind = record["type"]
-        self.events[kind] = self.events.get(kind, 0) + 1
-        if kind == "span-close" and record.get("kind") == "phase":
-            phase = record["name"]
-            self.phase_runs[phase] = self.phase_runs.get(phase, 0) + 1
-            self.phase_ms[phase] = (
-                self.phase_ms.get(phase, 0.0) + record.get("duration_ms", 0.0)
-            )
-        elif kind == "primitive":
-            primitive = record["primitive"]
-            self.primitive_calls[primitive] = (
-                self.primitive_calls.get(primitive, 0) + 1
-            )
-            if record.get("cache_hit"):
-                self.primitive_cache_hits[primitive] = (
-                    self.primitive_cache_hits.get(primitive, 0) + 1
-                )
-            for counter, delta in (record.get("counters") or {}).items():
-                self.storage_counters[counter] = (
-                    self.storage_counters.get(counter, 0) + delta
-                )
-        elif kind == "pool":
-            event = record.get("event", "unknown")
-            self.pool_events[event] = self.pool_events.get(event, 0) + 1
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The totals as one JSON-ready document (archive storage)."""
-        return {
-            "events": dict(self.events),
-            "phase_runs": dict(self.phase_runs),
-            "phase_ms": dict(self.phase_ms),
-            "primitive_calls": dict(self.primitive_calls),
-            "primitive_cache_hits": dict(self.primitive_cache_hits),
-            "storage_counters": dict(self.storage_counters),
-            "pool_events": dict(self.pool_events),
-        }
-
-    @classmethod
-    def from_dict(cls, document: Dict[str, Any]) -> "LiveStats":
-        """Rebuild totals from :meth:`as_dict` output (archive restore)."""
-        stats = cls()
-        for slot in cls.__slots__:
-            getattr(stats, slot).update(document.get(slot) or {})
-        return stats
-
-    def merge(self, other: "LiveStats") -> None:
-        """Fold *other*'s totals into this one (ledger eviction)."""
-        for mine, theirs in (
-            (self.events, other.events),
-            (self.phase_runs, other.phase_runs),
-            (self.phase_ms, other.phase_ms),
-            (self.primitive_calls, other.primitive_calls),
-            (self.primitive_cache_hits, other.primitive_cache_hits),
-            (self.storage_counters, other.storage_counters),
-            (self.pool_events, other.pool_events),
-        ):
-            for key, value in theirs.items():
-                mine[key] = mine.get(key, 0) + value
-
-    def copy(self) -> "LiveStats":
-        """An independent snapshot of the totals."""
-        snapshot = LiveStats()
-        snapshot.merge(self)
-        return snapshot
-
-    def __repr__(self) -> str:
-        return f"LiveStats(events={sum(self.events.values())})"
 
 
 class LiveSubscription:
@@ -295,22 +186,23 @@ class LiveBus:
 
     Publication assigns each record a ``seq`` (1-based, monotonic) and a
     ``ts_ms`` relative to the bus' attach time, appends it to the
-    history, folds it into the running :class:`LiveStats`, and offers it
-    to every subscription.  All of that happens under one lock, so
-    subscribers observe a single total order — the same order the
-    history records.
+    history, counts its type into :attr:`stats` (the attaching tracer's
+    fold), and offers it to every subscription.  All of that happens
+    under one lock, so subscribers observe a single total order — the
+    same order the history records.
 
     The history is bounded by *history_limit*: past it the oldest
     records are trimmed (``seq`` stays contiguous among the retained
     tail, :attr:`trimmed` counts what is gone), so a long-lived service
-    holds at most *history_limit* raw records per run while the stats
-    keep the full totals.
+    holds at most *history_limit* raw records per run while the census
+    keeps the full totals.
     """
 
     def __init__(
         self,
         clock=time.perf_counter,
         history_limit: int = DEFAULT_HISTORY_LIMIT,
+        stats: Optional[RunStats] = None,
     ) -> None:
         self._clock = clock
         self._lock = threading.Lock()
@@ -318,7 +210,8 @@ class LiveBus:
         self._history: deque = deque()
         self._history_limit = max(1, history_limit)
         self._trimmed = 0
-        self._stats = LiveStats()
+        #: the fold the census lands in (the tracer's, once attached)
+        self.stats = stats if stats is not None else RunStats()
         self._open: Dict[int, Dict[str, Any]] = {}
         self._seq = 0
         self._dropped_detached = 0
@@ -336,7 +229,7 @@ class LiveBus:
             }
             record.update(fields)
             self._history.append(record)
-            self._stats.observe(record)
+            self.stats.count(type)
             while len(self._history) > self._history_limit:
                 self._history.popleft()
                 self._trimmed += 1
@@ -455,11 +348,6 @@ class LiveBus:
                 return []
             return list(islice(self._history, start, None))
 
-    def stats(self) -> LiveStats:
-        """A snapshot of the running aggregates (trim-proof totals)."""
-        with self._lock:
-            return self._stats.copy()
-
     def dropped(self) -> int:
         """Records dropped across every subscription, ever attached."""
         with self._lock:
@@ -507,61 +395,43 @@ def write_live_jsonl(source, path: str) -> List[Dict[str, Any]]:
 def summarize_live(records: List[Dict[str, Any]]) -> str:
     """Render a captured ``repro/live@1`` stream as a readable summary.
 
-    *records* may include the header record (it is skipped).  The
-    summary counts events per record type, lists each completed phase
-    with its duration and progress-tick count, and reports the terminal
-    ``end`` record when the capture carries one — the live-stream
-    analogue of ``repro trace summarize`` over a trace file.
+    *records* may include the header record.  The summary is the
+    capture's fold: records per type, each phase's runs and summed
+    duration, and the terminal ``end`` record when the capture carries
+    one — the live-stream analogue of ``repro trace summarize``.
     """
     from repro.util.text import format_table
 
     body = [r for r in records if r.get("type") in LIVE_EVENT_TYPES]
-    counts: Dict[str, int] = {}
-    for record in body:
-        counts[record["type"]] = counts.get(record["type"], 0) + 1
+    stats = fold_records(body)
     span = (
         f"{body[0].get('ts_ms', 0.0):.0f}..{body[-1].get('ts_ms', 0.0):.0f} ms"
         if body
         else "empty"
     )
     lines = [f"# Live capture — {len(body)} record(s), {span}"]
-    rows = [[kind, counts[kind]] for kind in sorted(counts)]
-    if rows:
-        lines.append(format_table(["type", "records"], rows))
-
-    # per-phase view: close records carry the duration, progress records
-    # carry the phase name they ticked under
-    progress: Dict[str, int] = {}
-    for record in body:
-        if record["type"] == "progress" and record.get("phase"):
-            progress[record["phase"]] = progress.get(record["phase"], 0) + 1
-    phases = [
-        record
-        for record in body
-        if record["type"] == "span-close" and record.get("kind") == "phase"
-    ]
-    if phases:
+    if stats.events:
+        lines.append(
+            format_table(["type", "records"], sorted(stats.events.items()))
+        )
+    if stats.phase_runs:
         lines.append("")
         lines.append("# Phases")
         lines.append(
             format_table(
-                ["phase", "duration ms", "progress ticks"],
+                ["phase", "runs", "duration ms"],
                 [
-                    [
-                        record["name"],
-                        f"{record.get('duration_ms', 0.0):.3f}",
-                        progress.get(record["name"], 0),
-                    ]
-                    for record in phases
+                    [name, runs, f"{stats.phase_ms[name]:.3f}"]
+                    for name, runs in stats.phase_runs.items()
                 ],
             )
         )
-    ends = [record for record in body if record["type"] == "end"]
-    if ends:
-        end = ends[-1]
-        state = end.get("state") or "unknown"
+    if body and body[-1]["type"] == "end":
+        end = body[-1]
         lines.append("")
-        lines.append(f"# End — {end.get('job', '?')} finished {state}")
+        lines.append(
+            f"# End — {end.get('job', '?')} finished {end.get('state') or 'unknown'}"
+        )
     return "\n".join(lines)
 
 
@@ -574,6 +444,16 @@ def read_live_jsonl(path: str) -> List[Dict[str, Any]]:
     records = load_jsonl(path)
     if not records or records[0].get("format") != LIVE_FORMAT:
         raise ValueError(f"not a {LIVE_FORMAT} stream: {path!r}")
+    check_live_records(records, path)
+    return records
+
+
+def check_live_records(records: List[Dict[str, Any]], path: str) -> None:
+    """Raise :class:`ValueError` unless the body matches its header.
+
+    Catches a truncated capture (fewer records than the header counts)
+    and records of a type the format does not define.
+    """
     header, body = records[0], records[1:]
     if header.get("events") != len(body):
         raise ValueError(
@@ -586,4 +466,3 @@ def read_live_jsonl(path: str) -> List[Dict[str, Any]]:
                 f"{path}: record {index} has unknown type "
                 f"{record.get('type')!r}"
             )
-    return records

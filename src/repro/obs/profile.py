@@ -6,9 +6,10 @@ into *attribution*:
 
 - **hotspot profiles** (:func:`profile_from_records`) — per-span-name
   inclusive vs. exclusive (self) time and per-phase primitive
-  breakdowns (calls, wall time, cache hit-rate, rows scanned), computed
-  from an in-memory :class:`~repro.obs.tracer.Tracer` or a re-read
-  ``repro/trace@1`` JSONL file;
+  breakdowns (calls, wall time, cache hit-rate, rows scanned), rendered
+  from a :class:`~repro.obs.stats.RunStats`: an in-memory
+  :class:`~repro.obs.tracer.Tracer`'s own fold, or a new fold of a
+  re-read ``repro/trace@1`` JSONL file;
 - **flamegraph exporters** — collapsed-stack lines for ``flamegraph.pl``
   (:func:`collapsed_stacks`) and a speedscope-compatible JSON document
   (:func:`speedscope_document`, tagged ``repro/profile@1`` in its
@@ -26,23 +27,25 @@ enforces this).
 
 Exclusive (self) time is the span's duration minus the durations of its
 direct child spans and of the primitive events recorded directly under
-it, clamped at zero: a still-open parent exported mid-run reports its
-elapsed-so-far, which may be smaller than the sum of finished children,
-and must not go negative.
+it, clamped at zero (the fold computes it as spans close): a still-open
+parent exported mid-run reports its elapsed-so-far, which may be
+smaller than the sum of finished children, and must not go negative.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.obs.export import (
     METRICS_FORMAT,
     TRACE_FORMAT,
-    trace_records,
+    check_trace_records,
+    span_tree,
 )
-from repro.obs.live import LIVE_FORMAT
+from repro.obs.live import LIVE_FORMAT, check_live_records
 from repro.obs.provenance import PROVENANCE_FORMAT
+from repro.obs.stats import RunStats, fold_records, rounded_ms as _ms
 from repro.util.jsonl import load_jsonl
 from repro.util.text import format_table
 
@@ -70,52 +73,6 @@ PROFILE_FORMAT = "repro/profile@1"
 SPEEDSCOPE_SCHEMA = "https://www.speedscope.app/file-format-schema.json"
 
 
-def _ms(value: float) -> float:
-    return round(value, 6)
-
-
-def _split(records: List[Dict[str, Any]]) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
-    spans = [r for r in records if r.get("type") == "span"]
-    events = [r for r in records if r.get("type") == "event"]
-    return spans, events
-
-
-def _children_of(spans: List[Dict[str, Any]]) -> Dict[Optional[int], List[Dict[str, Any]]]:
-    children: Dict[Optional[int], List[Dict[str, Any]]] = {}
-    for span in spans:
-        children.setdefault(span["parent"], []).append(span)
-    for siblings in children.values():
-        siblings.sort(key=lambda s: (s["start_ms"], s["id"]))
-    return children
-
-
-def _events_by_span(events: List[Dict[str, Any]]) -> Dict[Optional[int], List[Dict[str, Any]]]:
-    by_span: Dict[Optional[int], List[Dict[str, Any]]] = {}
-    for event in events:
-        by_span.setdefault(event["span"], []).append(event)
-    return by_span
-
-
-def _self_times(spans: List[Dict[str, Any]], events: List[Dict[str, Any]]) -> Dict[int, float]:
-    """span id → exclusive (self) milliseconds, clamped at zero.
-
-    Self time subtracts the durations of the direct child spans *and*
-    of the primitive events recorded directly under the span.  A
-    still-open parent (duration = elapsed-so-far) may report less time
-    than its finished children sum to; the clamp keeps self time
-    non-negative instead of letting bookkeeping skew go below zero.
-    """
-    child_ms: Dict[int, float] = {}
-    for span in spans:
-        parent = span["parent"]
-        if parent is not None:
-            child_ms[parent] = child_ms.get(parent, 0.0) + span["duration_ms"]
-    for event in events:
-        if event["span"] is not None:
-            child_ms[event["span"]] = child_ms.get(event["span"], 0.0) + event["duration_ms"]
-    return {s["id"]: max(0.0, s["duration_ms"] - child_ms.get(s["id"], 0.0)) for s in spans}
-
-
 def _hit_rate(hits: int, calls: int) -> float:
     return round(hits / calls, 4) if calls else 0.0
 
@@ -123,99 +80,59 @@ def _hit_rate(hits: int, calls: int) -> float:
 # ----------------------------------------------------------------------
 # hotspot aggregation
 # ----------------------------------------------------------------------
-def profile_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The hotspot profile of one trace's records.
+def _with_hit_rate(rollup: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
+    for row in rollup.values():
+        row["hit_rate"] = _hit_rate(row.get("cache_hits", 0), row.get("calls", 0))
+    return rollup
 
-    Returns a document with
 
-    - ``spans`` — one row per span *name*: occurrence count, inclusive
-      and exclusive (self) milliseconds, whether any occurrence is
-      still open;
-    - ``phases`` — per phase span: inclusive/self milliseconds and a
-      per-primitive breakdown (calls, wall time, cache hits/misses and
-      hit-rate, rows scanned) of the events in the phase's subtree;
-    - ``primitives`` — the same per-primitive breakdown over the whole
-      run;
-    - ``totals`` — run-level rollups.
+def profile_document(stats: RunStats) -> Dict[str, Any]:
+    """The hotspot profile of one fold.
+
+    ``spans`` has one row per span name (count, inclusive and self ms,
+    any occurrence open); ``phases`` the inclusive/self ms and the
+    per-primitive breakdown (calls, ms, cache hits/misses, hit-rate,
+    rows) of each phase's subtree; ``primitives`` that breakdown over
+    the run; ``totals`` the run-level rollups.
     """
-    spans, events = _split(records)
-    self_ms = _self_times(spans, events)
-    children = _children_of(spans)
-
-    by_name: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        row = by_name.setdefault(
-            span["name"],
-            {"kind": span["kind"], "count": 0, "inclusive_ms": 0.0, "self_ms": 0.0, "open": False},
-        )
-        row["count"] += 1
-        row["inclusive_ms"] += span["duration_ms"]
-        row["self_ms"] += self_ms[span["id"]]
-        row["open"] = row["open"] or bool(span.get("open"))
-    for row in by_name.values():
-        row["inclusive_ms"] = _ms(row["inclusive_ms"])
-        row["self_ms"] = _ms(row["self_ms"])
-
-    def primitive_rollup(subset: List[Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-        rollup: Dict[str, Dict[str, Any]] = {}
-        for event in subset:
-            p = rollup.setdefault(
-                event["primitive"],
-                {
-                    "calls": 0,
-                    "duration_ms": 0.0,
-                    "cache_hits": 0,
-                    "cache_misses": 0,
-                    "rows_touched": 0,
-                },
-            )
-            p["calls"] += 1
-            p["duration_ms"] += event["duration_ms"]
-            p["cache_hits" if event["cache_hit"] else "cache_misses"] += 1
-            p["rows_touched"] += event["rows_touched"]
-        for p in rollup.values():
-            p["duration_ms"] = _ms(p["duration_ms"])
-            p["hit_rate"] = _hit_rate(p["cache_hits"], p["calls"])
-        return rollup
-
-    # phase subtrees: a phase's breakdown covers every event under it
-    subtree_events = _events_by_span(events)
-
-    def collect_events(span_id: int) -> List[Dict[str, Any]]:
-        collected = list(subtree_events.get(span_id, ()))
-        for child in children.get(span_id, ()):
-            collected.extend(collect_events(child["id"]))
-        return collected
-
-    phases: Dict[str, Dict[str, Any]] = {}
-    for span in spans:
-        if span["kind"] != "phase":
-            continue
-        phase_events = collect_events(span["id"])
-        phases[span["name"]] = {
-            "inclusive_ms": span["duration_ms"],
-            "self_ms": _ms(self_ms[span["id"]]),
-            "queries": len(phase_events),
-            "primitives": primitive_rollup(phase_events),
-        }
-
-    root_ms = max((s["duration_ms"] for s in spans if s["parent"] is None), default=0.0)
     return {
-        "spans": by_name,
-        "phases": phases,
-        "primitives": primitive_rollup(events),
+        "spans": {
+            name: {
+                "kind": stats.span_kind[name],
+                "count": count,
+                "inclusive_ms": _ms(stats.span_ms[name]),
+                "self_ms": _ms(stats.span_self_ms[name]),
+                "open": bool(stats.span_open.get(name)),
+            }
+            for name, count in stats.span_runs.items()
+        },
+        "phases": {
+            name: {
+                "inclusive_ms": _ms(stats.phase_ms[name]),
+                "self_ms": _ms(stats.phase_self_ms.get(name, 0.0)),
+                "queries": stats.phase_queries.get(name, 0),
+                "primitives": _with_hit_rate(stats.primitive_rollup(name)),
+            }
+            for name in stats.phase_runs
+        },
+        "primitives": _with_hit_rate(stats.primitive_rollup()),
         "totals": {
-            "duration_ms": root_ms,
-            "queries": len(events),
-            "spans": len(spans),
-            "query_duration_ms": _ms(sum(e["duration_ms"] for e in events)),
+            "duration_ms": _ms(stats.root_ms),
+            "queries": stats.queries,
+            "spans": stats.spans,
+            "query_duration_ms": _ms(sum(stats.primitive_ms.values())),
         },
     }
 
 
+def profile_from_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The hotspot profile of one trace's records."""
+    return profile_document(fold_records(records))
+
+
 def profile_summary(tracer: "Tracer") -> Dict[str, Any]:
-    """The hotspot profile computed live from *tracer*."""
-    return profile_from_records(trace_records(tracer))
+    """The hotspot profile of *tracer*'s own fold (open spans included)."""
+    return profile_document(tracer.snapshot())
 
 
 def render_profile(profile: Dict[str, Any]) -> str:
@@ -282,33 +199,25 @@ def collapsed_stacks(records: List[Dict[str, Any]]) -> List[str]:
     Zero-weight stacks are kept (weight 1 µs minimum would lie; a zero
     line is valid collapsed-stack input and keeps the frame visible).
     """
-    spans, events = _split(records)
-    self_ms = _self_times(spans, events)
-    children = _children_of(spans)
-    by_span = _events_by_span(events)
-    spans_by_id = {s["id"]: s for s in spans}
-
+    self_ms = fold_records(records).self_ms_by_span
+    children, by_span = span_tree(records)
     weights: Dict[str, int] = {}
 
-    def stack_of(span: Dict[str, Any]) -> str:
-        names: List[str] = []
-        cursor: Optional[Dict[str, Any]] = span
-        while cursor is not None:
-            names.append(cursor["name"])
-            parent = cursor["parent"]
-            cursor = spans_by_id.get(parent) if parent is not None else None
-        return ";".join(reversed(names))
+    def add(stack: str, ms: float) -> None:
+        weights[stack] = weights.get(stack, 0) + int(round(ms * 1000))
 
-    for span in spans:
-        stack = stack_of(span)
-        weights[stack] = weights.get(stack, 0) + int(round(self_ms[span["id"]] * 1000))
+    def walk(span: Dict[str, Any], stack: str) -> None:
+        add(stack, self_ms[span["id"]])
         for event in by_span.get(span["id"], ()):
-            leaf = f"{stack};{event['primitive']}"
-            weights[leaf] = weights.get(leaf, 0) + int(round(event["duration_ms"] * 1000))
+            add(f"{stack};{event['primitive']}", event["duration_ms"])
+        for child in children.get(span["id"], ()):
+            walk(child, f"{stack};{child['name']}")
+
+    for root in children.get(None, ()):
+        walk(root, root["name"])
     # events recorded outside any span still show up, under a synthetic root
     for event in by_span.get(None, ()):
-        leaf = f"(no span);{event['primitive']}"
-        weights[leaf] = weights.get(leaf, 0) + int(round(event["duration_ms"] * 1000))
+        add(f"(no span);{event['primitive']}", event["duration_ms"])
     return [f"{stack} {weight}" for stack, weight in sorted(weights.items())]
 
 
@@ -332,10 +241,7 @@ def speedscope_document(
     are clamped into their parent's window.  The document carries
     ``exporter: repro/profile@1`` — load it at https://speedscope.app.
     """
-    spans, events = _split(records)
-    children = _children_of(spans)
-    by_span = _events_by_span(events)
-
+    children, by_span = span_tree(records)
     frames: List[Dict[str, Any]] = []
     frame_index: Dict[str, int] = {}
 
@@ -441,6 +347,12 @@ def detect_export_kind(path: str) -> Tuple[str, Any]:
         return ("unknown", document)
     records = load_jsonl(path)  # raises ValueError with the line number
     tag = records[0].get("format") if records else None
+    # a truncated trace or capture must fail here, not report fewer
+    # queries than the run issued
+    if tag == TRACE_FORMAT:
+        check_trace_records(records, path)
+    elif tag == LIVE_FORMAT:
+        check_live_records(records, path)
     return (tag if tag in _KIND_LABELS else "unknown", records)
 
 
@@ -486,12 +398,9 @@ def view_from_export(kind: str, payload: Any) -> Dict[str, Any]:
             "primitives": profile["primitives"],
         }
     if kind == METRICS_FORMAT:
-        primitives = {}
-        for name, stats in payload.get("primitives", {}).items():
-            primitives[name] = dict(stats)
-            primitives[name]["hit_rate"] = _hit_rate(
-                stats.get("cache_hits", 0), stats.get("calls", 0)
-            )
+        primitives = _with_hit_rate(
+            {name: dict(stats) for name, stats in payload.get("primitives", {}).items()}
+        )
         return {
             "source": "metrics",
             "spans": {},

@@ -16,10 +16,11 @@ ordered streams for a reverse-engineering run:
   carries the id of the span it happened under, so per-phase query
   accounting falls out of the stream.
 
-The event stream is the *single* source of truth for query accounting:
-:class:`~repro.relational.database.TracedQueryCounter` and
-:func:`repro.evaluation.counters.cost_report` are views over it — there
-is no second set of hand-maintained counters to drift out of sync.
+Every span close, primitive event and pool incident also updates the
+tracer's ``stats``, one :class:`~repro.obs.stats.RunStats`, subscriber
+or not.  That fold is the *single* source of the run's figures: the
+metrics and profile documents, ``/metrics``, the archive and the cost
+report all read it, and re-read files go through the same fold.
 
 Timestamps come from an injectable monotonic clock (default
 :func:`time.perf_counter`), so tests can drive the tracer with a fake
@@ -30,8 +31,9 @@ The tracer can additionally stream both streams *live*: attaching a
 via :meth:`Tracer.subscribe`) publishes one ``repro/live@1`` record per
 span open, span close and primitive event, plus :meth:`progress` ticks
 and worker-pool incidents, to every bounded subscriber queue.  Without
-a bus every hook is a single ``is None`` test, so the no-subscriber
-pipeline pays nothing (the S13 benchmark enforces it).
+a bus every publishing hook is a single ``is None`` test, so the
+no-subscriber pipeline pays only for the fold (the S13 benchmark
+enforces it).
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.obs.stats import RunStats, to_ms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.live import LiveBus, LiveSubscription
@@ -167,6 +171,8 @@ class Tracer:
         self.spans: List[SpanRecord] = []
         #: primitive events, ordered by occurrence
         self.events: List[PrimitiveEvent] = []
+        #: the fold of both streams, updated as spans close and events land
+        self.stats = RunStats()
         #: the live-telemetry bus; None until a subscriber attaches, so
         #: every publishing hook below is a single attribute test
         self._live: Optional["LiveBus"] = None
@@ -254,6 +260,10 @@ class Tracer:
                 peak = self._mem_peaks.pop(top.span_id, current)
                 top.attributes["mem_peak_kb"] = round(peak / 1024.0, 1)
                 top.attributes["mem_current_kb"] = round(current / 1024.0, 1)
+            self.stats.close_span(
+                top.span_id, top.parent_id, top.name, top.kind,
+                to_ms(top.duration),
+            )
             if self._live is not None:
                 self._live.span_closed(top)
             if top is record:
@@ -310,13 +320,18 @@ class Tracer:
             counters=dict(counters) if counters else {},
         )
         self.events.append(event)
+        duration_ms = to_ms(duration)
+        self.stats.primitive(
+            event.span_id, primitive, backend, duration_ms, cache_hit,
+            rows_touched, event.counters,
+        )
         if self._live is not None:
             record: Dict[str, Any] = {
                 "span": event.span_id,
                 "primitive": event.primitive,
                 "backend": event.backend,
                 "relations": list(event.relations),
-                "duration_ms": round(event.duration * 1000.0, 6),
+                "duration_ms": duration_ms,
                 "cache_hit": event.cache_hit,
                 "rows_touched": event.rows_touched,
             }
@@ -338,7 +353,7 @@ class Tracer:
         if self._live is None:
             from repro.obs.live import LiveBus
 
-            bus = LiveBus(clock=self._clock)
+            bus = LiveBus(clock=self._clock, stats=self.stats)
             for record in self._stack:
                 bus.span_opened(record, snapshot=True)
             self._live = bus
@@ -398,15 +413,26 @@ class Tracer:
         self._live.publish("progress", **record)
 
     def pool_event(self, event: str, **details: Any) -> None:
-        """Publish one worker-pool incident (respawn/timeout/fallback).
+        """Fold one worker-pool incident (respawn/timeout/fallback).
 
-        Same zero-cost contract as :meth:`progress`.
+        Published to subscribers when a live bus is attached.
         """
+        self.stats.pool(event)
         if self._live is None:
             return
         self._live.publish(
             "pool", event=event, span=self.current_span_id(), **details
         )
+
+    def snapshot(self) -> RunStats:
+        """A copy of :attr:`stats` with open spans folded at elapsed-so-far."""
+        snapshot = self.stats.copy()
+        for record in reversed(self._stack):
+            snapshot.close_span(
+                record.span_id, record.parent_id, record.name, record.kind,
+                to_ms(record.duration), open=True,
+            )
+        return snapshot
 
     def current_phase(self) -> Optional[str]:
         """The innermost open span of kind ``phase``, or None."""
@@ -419,9 +445,12 @@ class Tracer:
     # maintenance
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Drop both streams (open spans included)."""
+        """Drop both streams (open spans included) and their fold."""
         self.spans.clear()
         self.events.clear()
+        self.stats = RunStats()
+        if self._live is not None:
+            self._live.stats = self.stats
         self._stack.clear()
         self._mem_peaks.clear()
         self._next_id = 1

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RunCancelled, UnknownJobError
-from repro.obs.live import LiveStats
 from repro.obs.log import get_logger, log_context
+from repro.obs.stats import RunStats
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -253,10 +253,10 @@ class JobManager:
         self._evicted_jobs = 0
         self._evicted_cached = 0
         self._evicted_dropped = 0
-        self._evicted_stats = LiveStats()
+        self._evicted_stats = RunStats()
         self._archive = archive
         self._restored_jobs = 0
-        self._restored_stats = LiveStats()
+        self._restored_stats = RunStats()
         self._stopping = False
         if archive is not None:
             with self._wakeup:
@@ -537,14 +537,13 @@ class JobManager:
         if self._archive is None or job.trace is None:
             return
         try:
-            from repro.obs.export import metrics_from_records, trace_records
+            from repro.obs.export import metrics_summary, trace_records
             from repro.obs.live import live_records
 
             trace = trace_records(job.trace)
-            metrics = metrics_from_records(trace)
+            metrics = metrics_summary(job.trace)
             bus = job.live
             live = live_records(bus) if bus is not None else None
-            stats = bus.stats() if bus is not None else None
             provenance = eer = None
             result = job.result
             if result is not None and result.provenance is not None:
@@ -562,7 +561,7 @@ class JobManager:
                 metrics=metrics,
                 live=live,
                 provenance=provenance,
-                stats=stats,
+                stats=job.trace.stats,
                 eer=eer,
             )
             with self._lock:
@@ -609,8 +608,8 @@ class JobManager:
         """What ledger eviction has retired so far.
 
         ``jobs``/``cached``/``dropped`` are counts; ``stats`` is the
-        :class:`~repro.obs.live.LiveStats` fold of every evicted job's
-        telemetry totals — ``/metrics`` adds them back in so its
+        :class:`~repro.obs.stats.RunStats` merge of every evicted job's
+        fold — ``/metrics`` adds them back in so its
         counters never move backwards when the ledger is bounded.
         """
         with self._lock:
@@ -634,9 +633,10 @@ class JobManager:
             self._order.remove(job_id)
             for key in [k for k, v in self._cache.items() if v == job_id]:
                 del self._cache[key]
+            if job.trace is not None:
+                self._evicted_stats.merge(job.trace.stats)
             bus = job.live
             if bus is not None:
-                self._evicted_stats.merge(bus.stats())
                 self._evicted_dropped += bus.dropped()
             self._evicted_jobs += 1
             if job.cached:

@@ -1,11 +1,12 @@
 """``GET /metrics``: a Prometheus-style exposition of the service.
 
-The exposition is aggregated from the **same stream** the SSE endpoint
-serves — every job's bus folds each published ``repro/live@1`` record
-into running :class:`~repro.obs.live.LiveStats` totals, which a scrape
-merges in O(jobs) — plus the manager's own ledger, so a scrape and a
-watcher can never disagree about what the service did (and the totals
-outlive both history trimming and ledger eviction):
+The exposition reads the **same fold** every other consumer reads —
+each job's tracer keeps one :class:`~repro.obs.stats.RunStats` of its
+run (its live bus counts the records it publishes into it), which a
+scrape merges in O(jobs) — plus the manager's own ledger, so a scrape,
+a watcher, the archive and the job's metrics document can never
+disagree about what the service did (and the totals outlive both
+history trimming and ledger eviction):
 
 - ``repro_build_info{version=...}`` — the instance's build identity
   (federated expositions tell instances apart by it);
@@ -44,7 +45,6 @@ from repro import __version__
 from repro.service.jobs import JOB_STATES
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.live import LiveStats
     from repro.service.jobs import JobManager
 
 __all__ = [
@@ -114,10 +114,10 @@ def render_metrics(
 ) -> str:
     """The whole service as one Prometheus text exposition.
 
-    Aggregation is O(jobs), not O(events): each bus keeps running
-    :class:`~repro.obs.live.LiveStats` totals updated at publish time,
-    so a scrape merges per-job snapshots instead of rescanning every
-    record ever published — and the totals survive the bounded history
+    Aggregation is O(jobs), not O(events): each job's tracer keeps its
+    :class:`~repro.obs.stats.RunStats` fold current as the run goes, so
+    a scrape merges per-job folds instead of rescanning every record
+    ever published — and the totals survive the bounded history
     trimming old records, ledger eviction retiring old jobs, and even
     server restarts (runs restored from the archive fold their archived
     totals back in), keeping the counters monotonic throughout.
@@ -131,23 +131,15 @@ def render_metrics(
     by_state = {state: 0 for state in JOB_STATES}
     cached = evicted["cached"]
     dropped = evicted["dropped"]
-    totals: "LiveStats" = evicted["stats"]
+    totals = evicted["stats"]
     totals.merge(restored["stats"])
     for job in jobs:
         by_state[job.state] = by_state.get(job.state, 0) + 1
         cached += 1 if job.cached else 0
-        bus = job.live
-        if bus is None:
-            continue
-        dropped += bus.dropped()
-        totals.merge(bus.stats())
-    phase_runs = totals.phase_runs
-    phase_ms = totals.phase_ms
-    primitive_calls = totals.primitive_calls
-    primitive_hits = totals.primitive_cache_hits
-    storage = totals.storage_counters
-    pool_events = totals.pool_events
-    live_events = totals.events
+        if job.trace is not None:
+            totals.merge(job.trace.stats)
+        if job.live is not None:
+            dropped += job.live.dropped()
 
     exposition = _Exposition()
     exposition.family(
@@ -182,37 +174,37 @@ def render_metrics(
     exposition.family(
         "repro_phase_runs_total", "counter",
         "Completed pipeline phase spans, by phase.",
-        [({"phase": p}, n) for p, n in sorted(phase_runs.items())],
+        [({"phase": p}, n) for p, n in sorted(totals.phase_runs.items())],
     )
     exposition.family(
         "repro_phase_latency_ms_total", "counter",
         "Total wall milliseconds spent per pipeline phase.",
-        [({"phase": p}, ms) for p, ms in sorted(phase_ms.items())],
+        [({"phase": p}, ms) for p, ms in sorted(totals.phase_ms.items())],
     )
     exposition.family(
         "repro_primitive_calls_total", "counter",
         "Extension-primitive calls, by primitive.",
-        [({"primitive": p}, n) for p, n in sorted(primitive_calls.items())],
+        [({"primitive": p}, n) for p, n in sorted(totals.primitive_calls.items())],
     )
     exposition.family(
         "repro_primitive_cache_hits_total", "counter",
         "Primitive calls answered from a cache, by primitive.",
-        [({"primitive": p}, n) for p, n in sorted(primitive_hits.items())],
+        [({"primitive": p}, n) for p, n in sorted(totals.primitive_cache_hits.items())],
     )
     exposition.family(
         "repro_storage_counter_total", "counter",
         "Storage telemetry deltas (buffer pool, page I/O), by counter.",
-        [({"counter": c}, n) for c, n in sorted(storage.items())],
+        [({"counter": c}, n) for c, n in sorted(totals.storage_counters.items())],
     )
     exposition.family(
         "repro_pool_events_total", "counter",
         "Worker-pool incidents (respawn/crash/timeout/fallback), by event.",
-        [({"event": e}, n) for e, n in sorted(pool_events.items())],
+        [({"event": e}, n) for e, n in sorted(totals.pool_events.items())],
     )
     exposition.family(
         "repro_live_events_total", "counter",
         "Live telemetry records published, by record type.",
-        [({"type": t}, n) for t, n in sorted(live_events.items())],
+        [({"type": t}, n) for t, n in sorted(totals.events.items())],
     )
     exposition.family(
         "repro_live_dropped_total", "counter",

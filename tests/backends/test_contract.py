@@ -357,14 +357,14 @@ class TestBatchContract:
                 self._inner = inner
 
             def __getattr__(self, name):
-                if name in ("execute_batch", "parallel_safe"):
+                if name == "execute_batch":
                     raise AttributeError(name)
                 return getattr(self._inner, name)
 
         proxy = type("ProxyDB", (), {
             "backend": Veiled(db.backend), "tracer": db.tracer,
         })()
-        engine = BatchExecutor(proxy, max_workers=1)
+        engine = BatchExecutor(proxy)
         assert engine.run(self._probes()) == self.EXPECTED
         assert engine.stats.batched_calls == 0
         assert engine.stats.backend_calls == len(self._probes())

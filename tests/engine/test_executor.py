@@ -42,11 +42,10 @@ def serial_answers(probes):
 class TestStrategies:
     def test_serial_fallback_on_memory(self):
         db = build_paper_database()
-        engine = BatchExecutor(db, max_workers=1)
+        engine = BatchExecutor(db)
         probes = paper_probes()
         assert engine.run(probes) == serial_answers(probes)
         assert engine.stats.batched_calls == 0
-        assert engine.stats.parallel_groups == 0
         assert engine.stats.backend_calls == 6      # 7 logical, 6 unique
 
     def test_pushdown_on_sqlite(self):
@@ -56,14 +55,6 @@ class TestStrategies:
         assert engine.run(probes) == serial_answers(probes)
         assert engine.stats.batched_calls == 1      # 6 unique < chunk of 32
         assert engine.stats.backend_calls == 1
-
-    def test_parallel_on_memory(self):
-        db = build_paper_database()
-        engine = BatchExecutor(db, max_workers=4, min_parallel=2)
-        probes = paper_probes()
-        assert engine.run(probes) == serial_answers(probes)
-        assert engine.stats.parallel_groups > 1
-        assert engine.stats.backend_calls == 6
 
     def test_fallback_when_hook_hidden(self):
         """A backend without execute_batch keeps working unchanged."""
@@ -75,7 +66,7 @@ class TestStrategies:
                 self._inner = inner
 
             def __getattr__(self, name):
-                if name in ("execute_batch", "parallel_safe"):
+                if name == "execute_batch":
                     raise AttributeError(name)
                 return getattr(self._inner, name)
 
@@ -83,7 +74,7 @@ class TestStrategies:
         proxy = type("ProxyDB", (), {
             "backend": NoBatch(db.backend), "tracer": db.tracer,
         })()
-        engine = BatchExecutor(proxy, max_workers=1)
+        engine = BatchExecutor(proxy)
         probes = paper_probes()
         assert engine.run(probes) == serial_answers(probes)
         assert engine.stats.batched_calls == 0
@@ -145,7 +136,7 @@ class TestObservability:
 
     def test_stats_accumulate_across_batches(self):
         db = build_paper_database()
-        engine = BatchExecutor(db, max_workers=1)
+        engine = BatchExecutor(db)
         engine.run(paper_probes())
         engine.run(paper_probes())
         assert engine.stats.batches == 2

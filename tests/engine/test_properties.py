@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BatchExecutor, Probe, plan_probes
-from repro.engine.executor import _dispatch
+from repro.engine.executor import dispatch_probe
 from repro.relational import Database, DatabaseSchema, RelationSchema
 from repro.relational.domain import INTEGER, NULL
 
@@ -112,24 +112,9 @@ class TestExecutorProperties:
     @given(rows, rows, probe_lists)
     def test_answers_match_direct_dispatch(self, r_rows, s_rows, batch):
         db = build_db(r_rows, s_rows)
-        answers = BatchExecutor(db, max_workers=1).run(batch)
-        expected = [_dispatch(db.backend, p) for p in batch]
+        answers = BatchExecutor(db).run(batch)
+        expected = [dispatch_probe(db.backend, p) for p in batch]
         assert answers == expected
-
-    @settings(deadline=None, max_examples=25)
-    @given(rows, rows, probe_lists)
-    def test_deterministic_across_worker_counts(self, r_rows, s_rows, batch):
-        outcomes = []
-        for workers in (1, 2, 4):
-            db = build_db(r_rows, s_rows)
-            engine = BatchExecutor(db, max_workers=workers, min_parallel=2)
-            answers = engine.run(batch)
-            events = [
-                (e.primitive, e.relations, e.attributes)
-                for e in db.tracer.events
-            ]
-            outcomes.append((answers, events))
-        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     @settings(deadline=None, max_examples=25)
     @given(rows, rows, probe_lists)

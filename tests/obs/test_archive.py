@@ -6,13 +6,13 @@ import os
 import pytest
 
 from repro.obs.archive import ARCHIVE_FORMAT, RunArchive, run_key
-from repro.obs.live import LiveStats
+from repro.obs.stats import RunStats
 from repro.service.jobs import JobManager
 from repro.workloads.paper_example import build_paper_database, paper_equijoins
 
 
 def make_stats():
-    stats = LiveStats()
+    stats = RunStats()
     stats.events["progress"] = 7
     stats.phase_runs["IND-Discovery"] = 1
     stats.phase_ms["IND-Discovery"] = 12.5

@@ -98,6 +98,23 @@ class TestJsonlRoundTrip:
             read_trace_jsonl(str(path))
 
 
+    def test_lines_cut_off_the_end_are_a_value_error(self, traced, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(traced, str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")
+        with pytest.raises(ValueError, match=r"header claims 3 span\(s\) and 3 event"):
+            read_trace_jsonl(str(path))
+
+    def test_header_counts_must_match_the_body(self, traced, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        records = trace_records(traced)
+        records[0]["events"] += 1
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ValueError, match="file carries 3 and 3"):
+            read_trace_jsonl(str(path))
+
+
 class TestOpenSpans:
     @pytest.fixture
     def half_open(self):

@@ -5,11 +5,11 @@ import pytest
 from repro.obs.live import (
     LIVE_FORMAT,
     LiveBus,
-    LiveStats,
     live_records,
     read_live_jsonl,
     write_live_jsonl,
 )
+from repro.obs.stats import RunStats
 from repro.obs.tracer import Tracer
 
 
@@ -168,7 +168,7 @@ class TestBoundedHistory:
         assert len(retained) == 10
         assert [r["seq"] for r in retained] == list(range(16, 26))
         # the aggregates never forget what the history shed
-        assert bus.stats().events["progress"] == 25
+        assert bus.stats.events["progress"] == 25
 
     def test_history_since_respects_the_trim_watermark(self):
         bus = LiveBus(history_limit=10)
@@ -197,14 +197,14 @@ class TestBoundedHistory:
 
 
 class TestLiveStats:
-    """Incremental aggregates maintained at publish time."""
+    """The run's RunStats fold, as a live run and live records feed it."""
 
     def test_stats_aggregate_phases_primitives_and_pool(self):
         tracer = Tracer()
         tracer.live()
         run_traced(tracer)
         tracer.pool_event("respawn")
-        stats = tracer.live_bus.stats()
+        stats = tracer.stats
         assert stats.phase_runs == {"IND-Discovery": 1, "LHS-Discovery": 1}
         assert stats.phase_ms["IND-Discovery"] >= 0.0
         assert stats.primitive_calls == {"count_distinct": 1}
@@ -214,7 +214,7 @@ class TestLiveStats:
         assert stats.events["progress"] == 1
 
     def test_merge_folds_and_copy_is_independent(self):
-        a = LiveStats()
+        a = RunStats()
         a.observe({"type": "pool", "event": "respawn"})
         b = a.copy()
         b.observe({"type": "pool", "event": "respawn"})
@@ -224,7 +224,7 @@ class TestLiveStats:
         assert a.pool_events == {"respawn": 3}
 
     def test_cache_hits_and_storage_counters(self):
-        stats = LiveStats()
+        stats = RunStats()
         stats.observe({
             "type": "primitive", "primitive": "join_count",
             "cache_hit": True, "counters": {"pool_hits": 3},

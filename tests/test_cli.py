@@ -298,6 +298,27 @@ class TestObservabilityOutputs:
         assert "error:" in err and "invalid JSON" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("verb", [
+        ["trace", "summarize"], ["profile"], ["trace", "diff", "SAME"],
+    ])
+    def test_a_trace_missing_its_last_lines_is_rejected(
+        self, workspace, capsys, verb
+    ):
+        """Whole lines cut off the end must not read back as a shorter run."""
+        trace_path = workspace / "run.trace.jsonl"
+        assert main(["demo", "--trace", str(trace_path)]) == 0
+        capsys.readouterr()
+        lines = trace_path.read_text().splitlines()
+        trace_path.write_text("\n".join(lines[:-5]) + "\n")
+        argv = [str(trace_path) if arg == "SAME" else arg for arg in verb]
+        assert main(argv + [str(trace_path)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("error:") and "header claims" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert captured.out == ""
+
     def test_trace_summarize_rejects_a_wrong_schema_file(self, tmp_path, capsys):
         other = tmp_path / "metrics-as-trace.jsonl"
         other.write_text('{"type": "provenance", "format": "repro/provenance@1"}\n')
