@@ -486,7 +486,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             verbose=not args.quiet,
             heartbeat=args.heartbeat,
-            peers=args.peers or (),
         )
     finally:
         if args.jobs_export:
@@ -546,16 +545,6 @@ def cmd_jobs_watch(args: argparse.Namespace) -> int:
     import urllib.error
 
     from repro.service.stream import sse_events
-
-    if args.since is not None and args.since < 0:
-        # a usage error, caught before it becomes a bad Last-Event-ID
-        # on the wire; exit 2 matches argparse's own usage failures
-        print(
-            "usage: repro jobs watch --since takes a non-negative "
-            "sequence number",
-            file=sys.stderr,
-        )
-        return 2
 
     url = args.url.rstrip("/") + f"/jobs/{args.job_id}/events"
     tty = sys.stdout.isatty() and not args.json
@@ -629,26 +618,6 @@ def cmd_jobs_watch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 1
-
-
-def cmd_fleet_scrape(args: argparse.Namespace) -> int:
-    """Merge several instances' ``/metrics`` into one linted exposition."""
-    from repro.service.fleet import scrape_fleet
-    from repro.service.metrics import lint_exposition
-
-    text = scrape_fleet(args.urls, timeout=args.timeout)
-    print(text, end="")
-    problems = lint_exposition(text)
-    for problem in problems:
-        print(f"lint: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def cmd_fleet_status(args: argparse.Namespace) -> int:
-    from repro.service.fleet import fleet_status
-
-    print(fleet_status(args.urls, timeout=args.timeout), end="")
-    return 0
 
 
 def cmd_history(args: argparse.Namespace) -> int:
@@ -978,39 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "runs are written through to it, and the "
                             "ledger + results cache are restored from it "
                             "at startup")
-    serve.add_argument("--peers", nargs="+", metavar="URL", default=None,
-                       help="peer instances whose /metrics GET "
-                            "/fleet/metrics federates (per-instance "
-                            "labels, one linted exposition)")
     serve.set_defaults(func=cmd_serve)
-
-    fleet = sub.add_parser(
-        "fleet", help="operate across a fleet of repro serve instances"
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    fleet_scrape = fleet_sub.add_parser(
-        "scrape",
-        help="scrape each instance's /metrics and print one merged, "
-             "linted exposition with per-instance labels",
-    )
-    fleet_scrape.add_argument("urls", nargs="+", metavar="URL",
-                              help="instance base URLs (host:port is "
-                                   "enough; /metrics is implied)")
-    fleet_scrape.add_argument("--timeout", type=float, default=5.0,
-                              metavar="SECONDS",
-                              help="per-instance scrape timeout "
-                                   "(default 5s)")
-    fleet_scrape.set_defaults(func=cmd_fleet_scrape)
-    fleet_status_cmd = fleet_sub.add_parser(
-        "status", help="one-screen fleet overview (liveness, job counts)"
-    )
-    fleet_status_cmd.add_argument("urls", nargs="+", metavar="URL",
-                                  help="instance base URLs")
-    fleet_status_cmd.add_argument("--timeout", type=float, default=5.0,
-                                  metavar="SECONDS",
-                                  help="per-instance probe timeout "
-                                       "(default 5s)")
-    fleet_status_cmd.set_defaults(func=cmd_fleet_status)
 
     history_cmd = sub.add_parser(
         "history",
@@ -1131,9 +1068,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: numeric options argparse accepts as any int/float but the program
+#: cannot honour: (attribute, what it takes, accepts the value).  A
+#: value outside its range is a usage error (exit 2, like argparse's
+#: own), never a silent clamp: ``--heartbeat 0`` would busy-spin every
+#: SSE watcher, ``--keep-finished -2`` would evict every finished job.
+_RANGES = (
+    ("heartbeat", "a positive number of seconds", lambda value: value > 0),
+    ("keep_finished", "a non-negative count", lambda value: value >= 0),
+    ("runners", "a count of at least 1", lambda value: value >= 1),
+    ("engine_workers", "a non-negative count (0 = auto)",
+     lambda value: value >= 0),
+    ("since", "a non-negative sequence number", lambda value: value >= 0),
+)
+
+
+def _out_of_range(args: argparse.Namespace) -> Optional[str]:
+    """The one-line usage message for the first out-of-range option."""
+    command = " ".join(
+        word for word in (args.command, getattr(args, "jobs_command", None))
+        if word
+    )
+    for attribute, takes, accepts in _RANGES:
+        value = getattr(args, attribute, None)
+        if value is not None and not accepts(value):
+            flag = "--" + attribute.replace("_", "-")
+            return f"usage: repro {command} {flag} takes {takes}, not {value}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    usage = _out_of_range(args)
+    if usage is not None:
+        print(usage, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ReproError as exc:

@@ -9,7 +9,7 @@ disagree about what the service did (and the totals outlive both
 history trimming and ledger eviction):
 
 - ``repro_build_info{version=...}`` — the instance's build identity
-  (federated expositions tell instances apart by it);
+  (beside the ``instance`` label Prometheus attaches at scrape time);
 - ``repro_uptime_seconds`` — seconds since the server started;
 - ``repro_jobs_total{state=...}`` — the ledger by state;
 - ``repro_jobs_evicted_total`` — finished jobs the bounded ledger

@@ -56,6 +56,13 @@ class TestRoutes:
         assert body["ok"] is True
         assert body["jobs"] == 0
 
+    def test_health_probes_carry_identity(self, api):
+        for probe in ("/healthz", "/readyz"):
+            status, body = api("GET", probe)
+            assert status == 200
+            assert body["version"]
+            assert body["uptime_seconds"] >= 0
+
     def test_submit_poll_result(self, api):
         status, record = api(
             "POST", "/jobs", {"demo": True, "config": {"engine": "batched"}}

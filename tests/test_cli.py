@@ -567,3 +567,30 @@ class TestJobsWatchExitCodes:
         assert self._watch(monkeypatch, records) == 1
         assert "without an end sentinel" in capsys.readouterr().err
         assert self._watch(monkeypatch, records, ("--json",)) == 1
+
+
+class TestOutOfRangeOptions:
+    """A count the program cannot honour is a usage error, not a clamp."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--heartbeat", "0"],
+            ["serve", "--heartbeat", "-1.5"],
+            ["serve", "--keep-finished", "-2"],
+            ["serve", "--runners", "0"],
+            ["jobs", "run", "specs.json", "--runners", "0"],
+            ["run", "db.sql", "programs", "--engine-workers", "-3"],
+            ["demo", "--engine-workers", "-3"],
+            ["jobs", "watch", "job-1", "--since", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_with_one_usage_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage: repro ")
+        assert argv[-2] in lines[0]
+        assert "Traceback" not in captured.err
