@@ -21,7 +21,8 @@ the extension ``E``.  Every backend must implement
   view), ``insert``/``insert_many`` and ``rows``/``row_count`` scans;
 - relation lifecycle — ``create_relation``, ``drop_relation``,
   ``replace_relation`` — each of which must invalidate any derived
-  caches for the touched relation;
+  caches for the touched relation — and ``fork``, an independent copy
+  of the whole extension on a sibling backend;
 - the observability hook — a ``kind`` label and ``probe``, which
   reports (without side effects on the answer) whether a primitive call
   would be served from the backend's own cache and how many stored rows
@@ -79,11 +80,15 @@ class ExtensionBackend(Protocol):
         store (e.g. a pre-populated ``.db`` file) are left untouched.
         """
 
-    def spawn(self) -> "ExtensionBackend":
-        """A fresh, empty sibling backend of the same kind.
+    def fork(self) -> "ExtensionBackend":
+        """An independent sibling of the same kind holding the extension.
 
         Used by :meth:`Database.copy` so a pipeline run against a SQLite
-        extension restructures a SQLite extension, not an in-memory one.
+        extension restructures a SQLite extension, not an in-memory one,
+        without the original seeing any of it.  Writes to either side
+        after the fork never show in the other.  A fork copies in the
+        backend's own terms — shared immutable rows, page images, SQL —
+        never by re-inserting the extension row by row.
         """
 
     def close(self) -> None:

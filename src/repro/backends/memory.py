@@ -40,14 +40,26 @@ class MemoryBackend:
     # lifecycle
     # ------------------------------------------------------------------
     def attach(self, schema: DatabaseSchema) -> None:
-        """Create an empty table for every relation not yet stored."""
-        for relation in schema:
-            if relation.name not in self._tables:
-                self._tables[relation.name] = Table(relation)
+        """Create an empty table for every relation not yet stored.
 
-    def spawn(self) -> "MemoryBackend":
-        """A fresh, empty in-memory backend."""
-        return MemoryBackend()
+        A stored table whose schema is an equal but distinct object (a
+        fork meeting the copied database schema) is re-homed onto
+        *relation*, so the two databases share no mutable schema.
+        """
+        for relation in schema:
+            table = self._tables.get(relation.name)
+            if table is None:
+                self._tables[relation.name] = Table(relation)
+            elif table.schema is not relation and table.schema == relation:
+                self._tables[relation.name] = table.shared_copy(relation)
+
+    def fork(self) -> "MemoryBackend":
+        """A sibling whose tables start from this one's (immutable) rows."""
+        twin = MemoryBackend()
+        twin._tables = {
+            name: table.shared_copy() for name, table in self._tables.items()
+        }
+        return twin
 
     def close(self) -> None:
         """Drop all tables and caches."""

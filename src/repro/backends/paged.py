@@ -135,11 +135,25 @@ class PagedBackend:
             self._stored.setdefault(relation.name, relation)
             self._versions.setdefault(relation.name, 0)
 
-    def spawn(self) -> "PagedBackend":
-        """A fresh paged backend on its own scratch directory."""
-        return PagedBackend(
+    def fork(self) -> "PagedBackend":
+        """A sibling on its own scratch directory holding the same pages.
+
+        Each relation's page file is copied image by image, a resident
+        pool frame standing in for its (possibly stale) disk page, so no
+        row is decoded or encoded and at most one page is held beyond
+        the pool.  This backend's pool, files and counters are left as
+        they were.
+        """
+        twin = PagedBackend(
             pool_pages=self._pool.capacity, page_size=self._files.page_size
         )
+        for name in self._schema.relation_names:
+            twin._stored[name] = self._stored_schema(name)
+            self._files.copy_file(
+                name, twin._files,
+                lambda page_id, name=name: self._pool.resident(name, page_id),
+            )
+        return twin
 
     def close(self) -> None:
         """Flush the pool, sync headers, release files (idempotent)."""

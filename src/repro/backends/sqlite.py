@@ -146,9 +146,32 @@ class SQLiteBackend:
             self._versions.setdefault(relation.name, 0)
         self._commit()
 
-    def spawn(self) -> "SQLiteBackend":
-        """A fresh backend on a private in-memory SQLite database."""
-        return SQLiteBackend()
+    def fork(self) -> "SQLiteBackend":
+        """A private in-memory copy holding exactly the schema's relations.
+
+        ``Connection.backup`` copies the store inside SQLite.  A relation
+        whose stored table is not the one this backend would create (a
+        ``.db`` file's own DDL, with its constraints) is then rebuilt
+        with ``INSERT … SELECT``, and every other object is dropped, so
+        no row passes through Python.
+        """
+        twin = SQLiteBackend()
+        self._conn.backup(twin._conn)
+        # views, triggers and indexes go first: a rebuild's RENAME would
+        # re-parse every view and trigger that names the table
+        objects = twin._conn.execute(
+            "SELECT type, name, sql FROM sqlite_master "
+            "WHERE sql IS NOT NULL AND name NOT LIKE 'sqlite^_%' ESCAPE '^' "
+            "ORDER BY type = 'table'"
+        ).fetchall()
+        for kind, name, sql in objects:
+            if kind != "table" or name not in self._schema:
+                twin._conn.execute(
+                    f"DROP {kind.upper()} IF EXISTS {quote_identifier(name)}"
+                )
+            elif sql != self._create_table_sql(self._schema.relation(name)):
+                twin._rebuild(self._schema.relation(name))
+        return twin
 
     def close(self) -> None:
         """Drop caches and close the connection if this backend owns it."""
@@ -191,16 +214,7 @@ class SQLiteBackend:
         """
         self._require(relation.name)
         self._invalidate(relation.name)
-        name = quote_identifier(relation.name)
-        tmp = quote_identifier("__repro_restruct__")
-        cols = ", ".join(quote_identifier(a) for a in relation.attribute_names)
-        self._conn.execute(f"DROP TABLE IF EXISTS {tmp}")
-        self._conn.execute(
-            self._create_table_sql(relation, table_name="__repro_restruct__")
-        )
-        self._conn.execute(f"INSERT INTO {tmp} SELECT {cols} FROM {name}")
-        self._conn.execute(f"DROP TABLE {name}")
-        self._conn.execute(f"ALTER TABLE {tmp} RENAME TO {name}")
+        self._rebuild(relation)
         self._bump(relation.name)
         self._commit()
         return self.table(relation.name)
@@ -508,6 +522,28 @@ class SQLiteBackend:
             f"CREATE TABLE {quote_identifier(table_name or relation.name)} "
             f"({cols})"
         )
+
+    def _rebuild(self, relation: RelationSchema) -> None:
+        """Recreate *relation*'s table from this backend's DDL, in SQL.
+
+        ``CREATE tmp; INSERT INTO tmp SELECT …; DROP old; RENAME tmp`` —
+        the stored rows projected onto the schema's attributes, in scan
+        order, duplicates kept.
+        """
+        name = quote_identifier(relation.name)
+        tmp = quote_identifier("__repro_restruct__")
+        cols = ", ".join(quote_identifier(a) for a in relation.attribute_names)
+        self._conn.execute(f"DROP TABLE IF EXISTS {tmp}")
+        self._conn.execute(
+            self._create_table_sql(relation, table_name="__repro_restruct__")
+        )
+        select = f"INSERT INTO {tmp} SELECT {cols} FROM {name}"
+        try:
+            self._conn.execute(f"{select} ORDER BY rowid")
+        except sqlite3.OperationalError:  # WITHOUT ROWID tables
+            self._conn.execute(select)
+        self._conn.execute(f"DROP TABLE {name}")
+        self._conn.execute(f"ALTER TABLE {tmp} RENAME TO {name}")
 
     def _scan(self, relation: RelationSchema) -> Iterator[List[Any]]:
         """Raw rows of one relation, decoded into repro domain values."""

@@ -27,15 +27,18 @@ answers from synthetic ground truth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dependencies.fd import FunctionalDependency
+from repro.dependencies.inference import satisfaction_ratio, violation_witnesses
 from repro.programs.equijoin import EquiJoin
 from repro.relational.attribute import AttributeRef
 from repro.util.naming import merge_name, unique_name
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.provenance import ProvenanceLedger
+    from repro.relational.database import Database
+    from repro.relational.table import Table
 
 
 # ----------------------------------------------------------------------
@@ -99,16 +102,62 @@ class IgnoreIntersection:
 NEIDecision = Union[ConceptualizeIntersection, ForceInclusion, IgnoreIntersection]
 
 
-@dataclass(frozen=True)
 class FDContext:
-    """What the expert sees when asked to enforce a failed FD test."""
+    """What the expert sees when asked to enforce a failed FD test.
 
-    fd: FunctionalDependency
-    satisfaction_ratio: float
-    witnesses: Tuple[str, ...] = ()
+    The evidence is the share of clean LHS groups
+    (``satisfaction_ratio``) and up to three counterexample pairs
+    (``witnesses``).  Only a human weighs it, so a context built by
+    :meth:`from_extension` computes each part on first read, from the
+    relation's table as it stands then: an expert that decides without
+    looking (every automatic policy) costs no scan.  Given explicitly
+    (``FDContext(fd, ratio, witnesses)``), the evidence is just stored.
+    """
+
+    def __init__(
+        self,
+        fd: FunctionalDependency,
+        satisfaction_ratio: float,
+        witnesses: Sequence[str] = (),
+    ) -> None:
+        self.fd = fd
+        self._ratio: Optional[float] = satisfaction_ratio
+        self._witnesses: Optional[Tuple[str, ...]] = tuple(witnesses)
+        self._database: Optional["Database"] = None
+
+    @classmethod
+    def from_extension(
+        cls, fd: FunctionalDependency, database: "Database"
+    ) -> "FDContext":
+        """A context whose evidence is read from *database* on demand."""
+        context = cls(fd, 0.0)
+        context._ratio = context._witnesses = None
+        context._database = database
+        return context
+
+    @property
+    def satisfaction_ratio(self) -> float:
+        if self._ratio is None:
+            self._ratio = satisfaction_ratio(self._table(), self.fd)
+        return self._ratio
+
+    @property
+    def witnesses(self) -> Tuple[str, ...]:
+        if self._witnesses is None:
+            self._witnesses = tuple(
+                f"{a!r} / {b!r}"
+                for a, b in violation_witnesses(self._table(), self.fd, limit=3)
+            )
+        return self._witnesses
+
+    def _table(self) -> "Table":
+        return self._database.table(self.fd.relation)
 
     def question_key(self) -> str:
         return f"enforce:{self.fd!r}"
+
+    def __repr__(self) -> str:
+        return f"FDContext({self.fd!r})"
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,11 @@ Chains the paper's steps against one database:
 6. Restruct (§7) — the 3NF schema, ``K`` and ``RIC``;
 7. Translate (§7) — the EER schema.
 
-The pipeline mutates a *copy* of the database (Restruct adds and narrows
-relations); the original stays untouched.  Every intermediate set is kept
+The pipeline mutates a *fork* of the database (Restruct adds and
+narrows relations): :meth:`Database.copy` asks the backend for an
+independent sibling that already holds the extension — shared rows in
+memory, copied page images, an in-engine SQLite copy — so the original
+stays untouched and no row is re-inserted.  Every intermediate set is kept
 on the :class:`PipelineResult` so callers (and the benchmarks) can audit
 each step against the paper.
 

@@ -7,7 +7,9 @@ For each candidate identifier ``R_i.A`` in ``LHS ∪ H``:
    attribute is dropped too — a nullable determinant cannot functionally
    account for a mandatory attribute;
 2. *test each survivor* ``b ∈ T`` against the extension; on failure the
-   expert may still enforce ``A -> b`` (dirty-data override, step ii);
+   expert may still enforce ``A -> b`` (dirty-data override, step ii) —
+   the evidence it is shown is computed only if it reads it
+   (:class:`~repro.core.expert.FDContext`);
 3. *classify*: a non-empty right-hand side ``B``, once validated by the
    expert, yields ``R_i : A -> B`` in ``F`` (and leaves ``H`` if it was
    there); an empty one makes ``R_i.A`` a *hidden object* candidate the
@@ -30,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.expert import Expert, FDContext
 from repro.dependencies.fd import FunctionalDependency
-from repro.dependencies.inference import satisfaction_ratio, violation_witnesses
 from repro.relational.attribute import AttributeRef
 from repro.relational.database import Database
 
@@ -215,7 +216,6 @@ class RHSDiscovery:
         accepted: List[str] = []
         enforced: List[str] = []
         decision_ids: List[str] = []
-        table = self.database.table(ref.relation)
         for name in candidates:
             holds = (
                 verdicts[name]
@@ -231,14 +231,7 @@ class RHSDiscovery:
                 accepted.append(name)
             else:                                                            # (ii)
                 fd = FunctionalDependency(ref.relation, a_names, (name,))
-                context = FDContext(
-                    fd,
-                    satisfaction_ratio(table, fd),
-                    tuple(
-                        f"{a!r} / {b!r}"
-                        for a, b in violation_witnesses(table, fd, limit=3)
-                    ),
-                )
+                context = FDContext.from_extension(fd, self.database)
                 if self.expert.enforce_fd(context):
                     accepted.append(name)
                     enforced.append(name)

@@ -259,26 +259,30 @@ class Database:
         backend: Optional["ExtensionBackend"] = None,
         tracer: Optional[Tracer] = None,
     ) -> "Database":
-        """Deep copy of schema + extension (dependencies reset).
+        """Independent copy of schema + extension (dependencies reset).
 
         Restruct mutates the database it is given; callers that want to
         keep the original (e.g. to diff before/after) copy it first.
-        Without an explicit *backend* the copy lives on a fresh sibling
-        of this database's backend (memory stays memory, SQLite spawns a
-        private in-memory SQLite store), so a pushdown pipeline run
-        restructures inside the engine; passing one converts between
-        backends — ``db.copy(backend=MemoryBackend())`` materializes a
-        SQLite extension in memory.  The copy records on its own fresh
-        tracer unless *tracer* hands it a shared one (the pipeline does,
-        so phase spans and primitive events land in one trace).
+        Without an explicit *backend* the copy lives on a fork of this
+        database's backend (:meth:`ExtensionBackend.fork`): memory stays
+        memory and shares the immutable rows, paged copies page images,
+        SQLite copies inside the engine into a private in-memory store.
+        A pushdown pipeline run thus restructures inside the engine, and
+        no row is re-inserted.  Passing *backend* converts between
+        backends by streaming every row into it —
+        ``db.copy(backend=MemoryBackend())`` materializes a SQLite
+        extension in memory.  The copy records on its own fresh tracer
+        unless *tracer* hands it a shared one (the pipeline does, so
+        phase spans and primitive events land in one trace).
         """
         clone = Database(
             self.schema.copy(),
-            backend=backend or self.backend.spawn(),
+            backend=self.backend.fork() if backend is None else backend,
             tracer=tracer,
         )
-        for name in self.schema.relation_names:
-            clone.insert_many(name, self.backend.rows(name))
+        if backend is not None:
+            for name in self.schema.relation_names:
+                clone.insert_many(name, self.backend.rows(name))
         return clone
 
     def close(self) -> None:

@@ -10,7 +10,7 @@ validates tuples.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ArityError, UnknownAttributeError
 from repro.relational.domain import NULL, is_null
@@ -184,6 +184,18 @@ class Table:
         for row in self._rows:
             table.insert([row[a] for a in schema.attribute_names])
         table.version += self.version
+        return table
+
+    def shared_copy(self, schema: Optional[RelationSchema] = None) -> "Table":
+        """A new table over a shallow copy of this one's row list.
+
+        Rows are immutable, so the copy shares them and no value is
+        re-coerced; a write to either table replaces or appends to its
+        own list only.  *schema* re-homes the copy onto an equal schema
+        object (the same relation in a copied database schema).
+        """
+        table = Table(schema or self._schema)
+        table._rows = list(self._rows)
         return table
 
     def __iter__(self) -> Iterator[Row]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import StorageError
 from repro.storage.paged.page import Page
@@ -144,6 +144,16 @@ class BufferPool:
             f"buffer pool exhausted: all {self.capacity} frames are "
             f"pinned; raise --pool-pages"
         )
+
+    def resident(self, relation: str, page_id: int) -> Optional[Page]:
+        """The page's in-memory image, or None when it is not resident.
+
+        Neither pins nor counts a hit nor moves the frame in LRU order:
+        for reading a file as the pool sees it (dirty frames included)
+        without disturbing the pool.
+        """
+        frame = self._frames.get((relation, page_id))
+        return None if frame is None else frame.page
 
     # ------------------------------------------------------------------
     # flush / invalidate

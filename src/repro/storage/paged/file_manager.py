@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.exceptions import StorageError
 from repro.storage.paged.page import MIN_PAGE_SIZE, Page
@@ -272,6 +272,32 @@ class FileManager:
             old.close()
         os.replace(self.path_for(source), self.path_for(target))
         self._files[target] = PageFile(self.path_for(target), self.page_size)
+
+    def copy_file(
+        self,
+        relation: str,
+        target: "FileManager",
+        newer: Callable[[int], Optional[Page]],
+    ) -> None:
+        """Copy *relation*'s page file into *target*, image by image.
+
+        *newer* returns a more recent image of a page than the file
+        holds (a dirty buffer-pool frame) or None.  No record is
+        decoded, one page is held at a time, the copy's header takes
+        the live fields, and neither manager counts the traffic as
+        page I/O.
+        """
+        source = self.open(relation)
+        copy = PageFile(target.path_for(relation), source.page_size, create=True)
+        for page_id in range(1, source.page_count):
+            copy.write_page(newer(page_id) or source.read_page(page_id))
+        copy.page_count = source.page_count
+        copy.free_head = source.free_head
+        copy.first_data = source.first_data
+        copy.last_data = source.last_data
+        copy.row_count = source.row_count
+        copy.sync_header()
+        target._files[relation] = copy
 
     def read_page(self, relation: str, page_id: int) -> Page:
         """One counted physical page read."""

@@ -223,6 +223,48 @@ class TestCopy:
         materialized = db.copy(backend=MemoryBackend())
         assert materialized.count_distinct("Person", ("id",)) == 22
 
+    @staticmethod
+    def snapshot(db):
+        """Rows, row counts and per-attribute distinct counts, by relation."""
+        return {
+            relation.name: (
+                list(db.backend.rows(relation.name)),
+                db.backend.row_count(relation.name),
+                [db.count_distinct(relation.name, (a,))
+                 for a in relation.attribute_names],
+            )
+            for relation in db.schema
+        }
+
+    @staticmethod
+    def write_everything(db):
+        db.insert("Person", [99, "x", "y", 1, "69100", "Rhone"])
+        db.table("HEmployee").insert([99, "2001-01-01", 1])
+        db.create_relation(RelationSchema.build("Extra", ["a"]))
+        db.insert("Extra", ["e"])
+        db.replace_relation(
+            db.schema.relation("Department").without_attributes(["proj"])
+        )
+        db.drop_relation("Assignment")
+
+    def test_fork_writes_leave_the_original_unchanged(self, backend_factory):
+        db = build_paper_database(backend=backend_factory())
+        before = self.snapshot(db)          # warms the original's caches
+        clone = db.copy()
+        assert self.snapshot(clone) == before
+        self.write_everything(clone)
+        assert self.snapshot(db) == before
+        assert "Extra" not in db.schema and "Assignment" in db.schema
+
+    def test_original_writes_do_not_reach_the_fork(self, backend_factory):
+        db = build_paper_database(backend=backend_factory())
+        before = self.snapshot(db)
+        clone = db.copy()
+        self.snapshot(clone)                # warms the fork's caches
+        self.write_everything(db)
+        assert self.snapshot(clone) == before
+        assert "Extra" not in clone.schema and "Assignment" in clone.schema
+
 
 class TestProbeHook:
     """`probe(...)` — the observability contract behind `repro profile`.

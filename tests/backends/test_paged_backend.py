@@ -245,11 +245,38 @@ class TestLifecycle:
         assert db2.count_distinct("r", ("a",)) == 25
         assert list(db2.backend.rows("r")) == [(i, f"s{i}") for i in range(25)]
 
-    def test_spawn_is_isolated(self):
-        backend = PagedBackend(**SMALL)
-        clone = backend.spawn()
+    def test_fork_is_isolated(self):
+        db = build_paper_database(backend=PagedBackend(**SMALL))
+        backend = db.backend
+        clone = backend.fork()
         assert clone.directory != backend.directory
         assert clone.pool.capacity == backend.pool.capacity
         assert clone.files.page_size == backend.files.page_size
+        forked = Database(db.schema.copy(), backend=clone)
+        for name in db.schema.relation_names:
+            assert list(clone.rows(name)) == list(backend.rows(name))
+        forked.close()
+        db.close()
+
+    def test_fork_copies_dirty_pages_and_leaves_the_original_as_it_was(self):
+        schema = DatabaseSchema([
+            RelationSchema.build("r", ["a", "b"], types={"a": INTEGER}),
+        ])
+        db = Database(schema, backend=PagedBackend(pool_pages=64, page_size=128))
+        rows = [(i, f"s{i}") for i in range(40)]
+        db.insert_many("r", rows)
+        backend = db.backend
+        tail = backend.files.open("r").last_data
+        # the tail page's newest image is only in the pool
+        resident = backend.pool.resident("r", tail)
+        assert resident is not None
+        assert resident.data != backend.files.open("r").read_page(tail).data
+        state = (backend.pool.resident_keys(), backend.telemetry())
+
+        clone = db.copy()
+
+        assert (backend.pool.resident_keys(), backend.telemetry()) == state
+        assert list(clone.backend.rows("r")) == rows
+        assert list(backend.rows("r")) == rows
         clone.close()
-        backend.close()
+        db.close()

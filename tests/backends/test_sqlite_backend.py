@@ -199,6 +199,54 @@ class TestSaveAndOpen:
             conn.close()  # open_sqlite does not own a passed connection
 
 
+class TestFork:
+    """``copy()`` forks a ``.db`` extension inside SQLite, keeping only
+    the schema's relations, each as a constraint-free backend table."""
+
+    def test_fork_holds_exactly_the_schema_relations(self, tmp_path):
+        path = str(tmp_path / "paper.db")
+        save_sqlite(build_paper_database(), path)
+        db = open_sqlite(path)
+        conn = db.backend.connection
+        conn.execute("CREATE TABLE stray (x INTEGER)")
+        conn.execute('CREATE VIEW people AS SELECT "id" FROM "Person"')
+        conn.execute('CREATE INDEX person_name ON "Person" ("name")')
+        conn.commit()
+        try:
+            clone = db.copy()
+            stored = dict(
+                clone.backend.connection.execute(
+                    "SELECT name, sql FROM sqlite_master"
+                ).fetchall()
+            )
+            assert set(stored) == set(db.schema.relation_names)
+            for relation in db.schema:
+                assert stored[relation.name] == (
+                    clone.backend._create_table_sql(relation)
+                )
+                assert list(clone.backend.rows(relation.name)) == list(
+                    db.backend.rows(relation.name)
+                )
+            # the declared key is gone from the fork: dirty data fits
+            clone.insert("Person", next(db.backend.rows("Person")))
+            assert clone.backend.row_count("Person") == 23
+            assert db.backend.row_count("Person") == 22
+        finally:
+            db.close()
+
+    def test_without_rowid_table_keeps_its_rows(self):
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE w (a INTEGER PRIMARY KEY, b TEXT) WITHOUT ROWID")
+        conn.execute("INSERT INTO w VALUES (2, 'y'), (1, 'x')")
+        db = open_sqlite(conn)
+        try:
+            clone = db.copy()
+            assert list(clone.backend.rows("w")) == list(db.backend.rows("w"))
+        finally:
+            db.close()
+            conn.close()
+
+
 class TestStatementCaching:
     @pytest.fixture
     def db(self):

@@ -37,6 +37,31 @@ class TestNonDestructive:
         assert before == after
         assert "Employee" not in paper_db.schema
 
+    @pytest.mark.parametrize("backend", ["memory", "paged", "sqlite"])
+    def test_original_extension_untouched(self, backend, paper_corpus, paper_expert):
+        """Restruct's writes land on the pipeline's fork, never on the
+        caller's extension: rows and distinct counts stay as they were."""
+        from repro.backends import create_backend
+        from repro.workloads.paper_example import build_paper_database
+
+        options = {"pool_pages": 8, "page_size": 256} if backend == "paged" else {}
+        db = build_paper_database(backend=create_backend(backend, **options))
+
+        def extension():
+            return {
+                r.name: (
+                    list(db.backend.rows(r.name)),
+                    [db.count_distinct(r.name, (a,)) for a in r.attribute_names],
+                )
+                for r in db.schema
+            }
+
+        before = extension()
+        result = DBREPipeline(db, paper_expert).run(corpus=paper_corpus)
+        assert result.restructured.schema.relation_names != db.schema.relation_names
+        assert extension() == before
+        db.close()
+
     def test_restructured_is_a_new_database(self, paper_db, paper_corpus, paper_expert):
         result = DBREPipeline(paper_db, paper_expert).run(corpus=paper_corpus)
         assert result.restructured is not paper_db

@@ -235,3 +235,115 @@ class TestPaperExample:
         assert outcome.pruned_not_null == ("location",)
         assert set(outcome.candidates) == {"skill", "proj"}
         assert set(outcome.accepted) == {"skill", "proj"}
+
+
+def identifiers(db, expert, equijoins):
+    """``LHS`` and ``H`` as RHS-Discovery gets them from the phases before."""
+    from repro.core.ind_discovery import INDDiscovery
+    from repro.core.lhs_discovery import LHSDiscovery
+
+    ind_result = INDDiscovery(db, expert).run(equijoins)
+    lhs_result = LHSDiscovery(db.schema, ind_result.s_names).run(ind_result.inds)
+    return lhs_result.lhs, lhs_result.hidden
+
+
+def paper_problem(backend=None):
+    """The paper database, its scripted expert and its ``LHS``/``H``."""
+    from repro.workloads.paper_example import (
+        build_paper_database,
+        paper_equijoins,
+        paper_expert_script,
+    )
+
+    db = build_paper_database(backend=backend)
+    lhs, hidden = identifiers(
+        db, ScriptedExpert(paper_expert_script()), paper_equijoins()
+    )
+    return db, lhs, hidden
+
+
+def oracle_problem(backend=None):
+    """A synthetic scenario, its ground-truth expert and its ``LHS``/``H``."""
+    from repro.programs.extractor import EquiJoinExtractor
+    from repro.workloads.scenario import build_scenario
+
+    scenario = build_scenario()
+    db = scenario.database
+    if backend is not None:
+        db = db.copy(backend=backend)
+    equijoins = EquiJoinExtractor(db.schema).extract_from_corpus(scenario.corpus).joins
+    lhs, hidden = identifiers(db, scenario.expert, equijoins)
+    return db, scenario.expert, lhs, hidden
+
+
+class TestLazyEvidence:
+    """Failed-FD evidence is computed only when an expert reads it."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        import repro.core.expert as expert_module
+
+        calls = []
+
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Database, "table", spy("table", Database.table))
+        for name in ("satisfaction_ratio", "violation_witnesses"):
+            monkeypatch.setattr(
+                expert_module, name, spy(name, getattr(expert_module, name))
+            )
+        return calls
+
+    @pytest.mark.parametrize("backend", ["memory", "paged"])
+    @pytest.mark.parametrize("policy", ["auto", "oracle"])
+    def test_automatic_experts_read_no_evidence(self, reads, policy, backend):
+        from repro.backends import PagedBackend
+        from repro.core.expert import RecordingExpert
+
+        store = PagedBackend(pool_pages=8, page_size=256) if backend == "paged" else None
+        if policy == "auto":
+            db, lhs, hidden = paper_problem(store)
+            inner = AutoExpert()
+        else:
+            db, inner, lhs, hidden = oracle_problem(store)
+        expert = RecordingExpert(inner)
+        del reads[:]                    # only RHS-Discovery's reads count
+        RHSDiscovery(db, expert).run(lhs, hidden)
+        assert any(i.kind == "enforce" for i in expert.log)   # FDs did fail
+        assert reads == []
+        db.close()
+
+    def test_interactive_output_matches_the_eager_evidence(self):
+        from repro.core.expert import InteractiveExpert
+        from repro.dependencies.inference import (
+            satisfaction_ratio,
+            violation_witnesses,
+        )
+
+        db, lhs, hidden = paper_problem()
+        printed, asked = [], []
+
+        class Asking(InteractiveExpert):
+            def enforce_fd(self, context):
+                asked.append(context.fd)
+                return super().enforce_fd(context)
+
+        expert = Asking(input_fn=lambda prompt: "n", print_fn=printed.append)
+        RHSDiscovery(db, expert).run(lhs, hidden)
+
+        expected = []
+        for fd in asked:
+            table = db.table(fd.relation)
+            expected.append(
+                f"{fd!r} fails on the extension "
+                f"(clean groups: {satisfaction_ratio(table, fd):.0%})"
+            )
+            for a, b in violation_witnesses(table, fd, limit=3):
+                expected.append(f"  counterexample: {a!r} / {b!r}")
+        assert len(asked) == 8
+        assert printed == expected

@@ -38,9 +38,11 @@ class GateBackend(MemoryBackend):
         self.release = release if release is not None else threading.Event()
         self.poison = poison
 
-    def spawn(self):
-        # pipeline copies share the gate, so the copy still blocks
-        return GateBackend(self.entered, self.release, self.poison)
+    def fork(self):
+        # pipeline forks share the gate, so the fork still blocks
+        twin = GateBackend(self.entered, self.release, self.poison)
+        twin._tables = super().fork()._tables
+        return twin
 
     def count_distinct(self, relation, attrs):
         self.entered.set()

@@ -30,6 +30,7 @@ def api():
         except urllib.error.HTTPError as error:
             return error.code, json.loads(error.read())
 
+    call.manager = manager
     yield call
     server.shutdown()
     server.server_close()
@@ -101,15 +102,20 @@ class TestRoutes:
         assert body["cancelled"] is False
 
     def test_eer_of_unfinished_job_is_a_conflict(self, api):
-        # the demo is fast; use a spec that stays queued by submitting
-        # to a manager whose single runner is busy with the first job
-        _, first = api("POST", "/jobs", {"demo": True})
-        _, second = api("POST", "/jobs", {"demo": True, "label": "second"})
-        status, body = api("GET", f"/jobs/{second['id']}/eer")
-        if second["state"] in ("queued", "running"):
-            assert status == 409
-            assert "still" in body["error"]
-        wait_done(api, second["id"])
+        # pin the single runner inside a gated run, so the job submitted
+        # next is certainly still queued when its EER is asked for
+        from tests.service.test_jobs import gated_database
+        from repro.workloads.paper_example import paper_equijoins
+
+        gated, backend = gated_database()
+        api.manager.submit(gated, equijoins=paper_equijoins())
+        assert backend.entered.wait(timeout=10)
+        _, queued = api("POST", "/jobs", {"demo": True})
+        status, body = api("GET", f"/jobs/{queued['id']}/eer")
+        assert status == 409
+        assert "still" in body["error"]
+        backend.release.set()
+        wait_done(api, queued["id"])
 
 
 class TestErrors:
